@@ -3,8 +3,10 @@
 //! incremental path replaces.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use mdbgp_core::{GdConfig, GdPartitioner};
-use mdbgp_graph::{gen, InducedSubgraph, Partitioner, VertexWeights};
+use mdbgp_bench::churn::IdTracker;
+use mdbgp_bench::workload::{bootstrap_prefix, stream_config, Generator, Mix};
+use mdbgp_core::GdPartitioner;
+use mdbgp_graph::{gen, Partitioner};
 use mdbgp_stream::{StreamConfig, StreamingPartitioner, UpdateBatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,34 +17,23 @@ const ARRIVALS: usize = 200;
 const K: usize = 4;
 const EPS: f64 = 0.05;
 
-fn setup() -> (StreamingPartitioner, UpdateBatch) {
-    let total = N + ARRIVALS;
-    let cg = gen::community_graph(
-        &gen::CommunityGraphConfig::social(total),
-        &mut StdRng::seed_from_u64(9),
-    );
-    let prefix: Vec<u32> = (0..N as u32).collect();
-    let boot = InducedSubgraph::extract(&cg.graph, &prefix);
-    let weights = VertexWeights::vertex_edge(&boot.graph);
-    let mut cfg = StreamConfig::new(K, EPS);
-    cfg.gd = GdConfig {
-        iterations: 60,
-        ..GdConfig::with_epsilon(EPS)
-    };
-    let sp = StreamingPartitioner::bootstrap(boot.graph.clone(), weights, cfg).unwrap();
+fn config() -> StreamConfig {
+    stream_config(K, EPS, 1, 42)
+}
 
-    let mut batch = UpdateBatch::new();
-    for v in N as u32..total as u32 {
-        let backward: Vec<u32> = cg
-            .graph
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(|&u| u < v)
-            .collect();
-        let w = backward.len().max(1) as f64;
-        batch.add_vertex(vec![1.0, w], backward);
-    }
+/// A bootstrapped engine and one batch of `ARRIVALS` arrivals (with their
+/// backward edges) from the same community history.
+fn setup() -> (StreamingPartitioner, UpdateBatch) {
+    let mut rng = StdRng::seed_from_u64(9);
+    let history = gen::community_graph(&gen::CommunityGraphConfig::social(N + ARRIVALS), &mut rng);
+    let (boot, weights) = bootstrap_prefix(&history.graph, N);
+    let sp = StreamingPartitioner::bootstrap(boot, weights, config()).unwrap();
+    let mut gen = Generator::new(history.graph, rng, IdTracker::identity(N));
+    let arrivals = Mix {
+        arrivals: ARRIVALS,
+        ..Mix::default()
+    };
+    let batch = gen.next_batch(&sp, &arrivals).unwrap();
     (sp, batch)
 }
 
@@ -51,13 +42,7 @@ fn setup() -> (StreamingPartitioner, UpdateBatch) {
 fn rebuild(sp: &StreamingPartitioner) -> StreamingPartitioner {
     let graph = sp.graph().snapshot();
     let weights = sp.graph().weights().clone();
-    let partition = sp.partition();
-    let mut cfg = StreamConfig::new(K, EPS);
-    cfg.gd = GdConfig {
-        iterations: 60,
-        ..GdConfig::with_epsilon(EPS)
-    };
-    StreamingPartitioner::from_partition(graph, weights, &partition, cfg).unwrap()
+    StreamingPartitioner::from_partition(graph, weights, &sp.partition(), config()).unwrap()
 }
 
 fn bench_stream(c: &mut Criterion) {
@@ -93,12 +78,9 @@ fn bench_stream(c: &mut Criterion) {
     let weights = sp_full.graph().weights().clone();
     group.bench_function("scratch_gd_solve", |b| {
         b.iter(|| {
-            GdPartitioner::new(GdConfig {
-                iterations: 60,
-                ..GdConfig::with_epsilon(EPS)
-            })
-            .partition(black_box(&snapshot), black_box(&weights), K, 3)
-            .unwrap()
+            GdPartitioner::new(config().gd)
+                .partition(black_box(&snapshot), black_box(&weights), K, 3)
+                .unwrap()
         })
     });
     group.finish();

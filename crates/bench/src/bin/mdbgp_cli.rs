@@ -13,64 +13,21 @@
 use mdbgp_baselines::{
     BlpPartitioner, HashPartitioner, MetisPartitioner, ShpPartitioner, SpinnerPartitioner,
 };
+use mdbgp_bench::churn::IdTracker;
+use mdbgp_bench::resume::{read_trailer, write_trailer, ResumeState};
+use mdbgp_bench::workload::{bootstrap_prefix, render_metrics, stream_config, Generator, Mix};
 use mdbgp_core::{GdConfig, GdPartitioner, KWayGdPartitioner};
 use mdbgp_graph::gen;
-use mdbgp_graph::{
-    io as gio, Graph, InducedSubgraph, Partition, Partitioner, VertexWeights, WeightKind,
-};
-use mdbgp_stream::{StreamConfig, StreamingPartitioner, UpdateBatch};
+use mdbgp_graph::{io as gio, Graph, Partition, Partitioner, VertexWeights, WeightKind};
+use mdbgp_stream::{SnapshotExpectation, StreamingPartitioner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
-/// Minimal `--key value` argument map.
-struct Args {
-    values: HashMap<String, String>,
-}
-
-impl Args {
-    fn parse(argv: &[String]) -> Result<Self, String> {
-        let mut values = HashMap::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i]
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, got '{}'", argv[i]))?;
-            let value = argv
-                .get(i + 1)
-                .ok_or_else(|| format!("--{key} needs a value"))?
-                .clone();
-            values.insert(key.to_string(), value);
-            i += 2;
-        }
-        Ok(Self { values })
-    }
-
-    fn req(&self, key: &str) -> Result<&str, String> {
-        self.values
-            .get(key)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing --{key}"))
-    }
-
-    fn opt(&self, key: &str, default: &str) -> String {
-        self.values
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    }
-
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
-    }
-}
+// The shared `--key value` parser: duplicated flags fail at parse time,
+// flags a command never reads fail when the command calls `finish`.
+use mdbgp_bench::workload::Flags as Args;
 
 /// Parses the `--dims` list into weight kinds.
 fn parse_dims(spec: &str) -> Result<Vec<WeightKind>, String> {
@@ -110,35 +67,39 @@ fn save_graph(graph: &Graph, path: &str, format: &str) -> Result<(), String> {
 }
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
-    let model = args.opt("model", "community");
+    let model = args.opt("model").unwrap_or("community").to_string();
     let n: usize = args.num("n", 10_000)?;
     let seed: u64 = args.num("seed", 42)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let graph = match model.as_str() {
+    let out = args.req("output")?;
+    let format = args.opt("format").unwrap_or("text");
+    // Model parameters are read up front, so an unknown flag fails before
+    // any work is done.
+    let generate: Box<dyn FnOnce(&mut StdRng) -> Graph> = match model.as_str() {
         "community" => {
             let mut cfg = gen::CommunityGraphConfig::social(n);
             cfg.mean_degree = args.num("mean-degree", cfg.mean_degree)?;
             cfg.mixing = args.num("mixing", cfg.mixing)?;
             cfg.density_spread = args.num("density-spread", cfg.density_spread)?;
-            gen::community_graph(&cfg, &mut rng).graph
+            Box::new(move |rng| gen::community_graph(&cfg, rng).graph)
         }
         "rmat" => {
             let scale = (n as f64).log2().ceil() as u32;
             let ef: usize = args.num("edge-factor", 16)?;
-            gen::rmat(gen::RmatConfig::graph500(scale, ef), &mut rng)
+            Box::new(move |rng| gen::rmat(gen::RmatConfig::graph500(scale, ef), rng))
         }
         "er" => {
             let m: usize = args.num("edges", n * 8)?;
-            gen::erdos_renyi(n, m, &mut rng)
+            Box::new(move |rng| gen::erdos_renyi(n, m, rng))
         }
         "ba" => {
             let m: usize = args.num("attach", 8)?;
-            gen::barabasi_albert(n, m, &mut rng)
+            Box::new(move |rng| gen::barabasi_albert(n, m, rng))
         }
         other => return Err(format!("unknown model '{other}' (community|rmat|er|ba)")),
     };
-    let out = args.req("output")?;
-    save_graph(&graph, out, &args.opt("format", "text"))?;
+    args.finish()?;
+    let graph = generate(&mut StdRng::seed_from_u64(seed));
+    save_graph(&graph, out, format)?;
     println!(
         "generated {model}: {} vertices, {} edges -> {out}",
         graph.num_vertices(),
@@ -148,14 +109,18 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_partition(args: &Args) -> Result<(), String> {
-    let graph = load_graph(args.req("input")?, &args.opt("format", "text"))?;
-    let kinds = parse_dims(&args.opt("dims", "unit,degree"))?;
-    let weights = VertexWeights::build(&graph, &kinds);
+    let input = args.req("input")?;
+    let format = args.opt("format").unwrap_or("text");
+    let kinds = parse_dims(args.opt("dims").unwrap_or("unit,degree"))?;
     let k: usize = args.num("k", 2)?;
     let eps: f64 = args.num("eps", 0.03)?;
     let seed: u64 = args.num("seed", 42)?;
+    let algo = args.opt("algo").unwrap_or("gd");
+    let output = args.opt("output");
+    args.finish()?;
+    let graph = load_graph(input, format)?;
+    let weights = VertexWeights::build(&graph, &kinds);
 
-    let algo = args.opt("algo", "gd");
     let gd = GdPartitioner::new(GdConfig::with_epsilon(eps));
     let gd_kway = KWayGdPartitioner::new(GdConfig::with_epsilon(eps));
     let hash = HashPartitioner;
@@ -166,7 +131,7 @@ fn cmd_partition(args: &Args) -> Result<(), String> {
         epsilon: eps,
         ..MetisPartitioner::default()
     };
-    let partitioner: &dyn Partitioner = match algo.as_str() {
+    let partitioner: &dyn Partitioner = match algo {
         "gd" => &gd,
         "gd-kway" => &gd_kway,
         "hash" => &hash,
@@ -193,7 +158,7 @@ fn cmd_partition(args: &Args) -> Result<(), String> {
         elapsed.as_secs_f64()
     );
 
-    if let Ok(out) = args.req("output") {
+    if let Some(out) = output {
         let mut file = std::io::BufWriter::new(
             std::fs::File::create(out).map_err(|e| format!("create {out}: {e}"))?,
         );
@@ -206,11 +171,14 @@ fn cmd_partition(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_evaluate(args: &Args) -> Result<(), String> {
-    let graph = load_graph(args.req("input")?, &args.opt("format", "text"))?;
-    let kinds = parse_dims(&args.opt("dims", "unit,degree"))?;
+    let input = args.req("input")?;
+    let format = args.opt("format").unwrap_or("text");
+    let kinds = parse_dims(args.opt("dims").unwrap_or("unit,degree"))?;
+    let ppath = args.req("partition")?;
+    args.finish()?;
+    let graph = load_graph(input, format)?;
     let weights = VertexWeights::build(&graph, &kinds);
 
-    let ppath = args.req("partition")?;
     let file = std::fs::File::open(ppath).map_err(|e| format!("open {ppath}: {e}"))?;
     let mut parts = Vec::new();
     for line in BufReader::new(file).lines() {
@@ -245,25 +213,23 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
 /// Replays a stored edge list as an online stream: bootstrap GD on a
 /// vertex-id prefix, then ingest the remaining vertices (with their
 /// backward edges) in batches through `mdbgp-stream`, printing per-batch
-/// drift/quality telemetry. With `--churn F`, each batch also removes
-/// `F` of its arrival count in random live vertices (and as many random
-/// live edges), exercising the tombstone/purge path; the replay tracks
-/// the id remaps purging compactions report.
+/// drift/quality telemetry. Batches come from the shared
+/// [`mdbgp_bench::workload::Generator`]; with `--churn F`, each batch also
+/// removes `F` of its arrival count in random live vertices (and as many
+/// random live edges), exercising the tombstone/purge path, and the
+/// replay follows the id remaps purging compactions report.
 ///
 /// Warm restart: `--save-snapshot FILE` persists the engine after the
 /// last ingested batch (combine with `--stop-after B` to simulate a
-/// crash mid-stream), and `--load-snapshot FILE` resumes a later
+/// crash mid-stream), followed by a resume trailer carrying the replay's
+/// original→current id map, and `--load-snapshot FILE` resumes a later
 /// invocation from that state instead of bootstrapping — streaming
-/// continues from wherever the saved run stopped. The replay addresses
-/// vertices by their original input ids, so resume requires a snapshot
-/// whose engine ids still *are* the input ids: id epoch 0 (no purging
-/// compactions — rejected with the named stale-epoch error) and no
-/// removals so far (recycled ids re-number arrivals even before any
-/// purge, and the snapshot does not carry the replay's original→current
-/// map). Churn *after* the resume point is fine.
+/// continues from wherever the saved run stopped, at any id epoch. A
+/// snapshot without a trailer resumes only if its engine ids still *are*
+/// the input ids: id epoch 0 and no removals so far.
 fn cmd_stream(args: &Args) -> Result<(), String> {
-    let graph = load_graph(args.req("input")?, &args.opt("format", "text"))?;
-    let n = graph.num_vertices();
+    let input = args.req("input")?;
+    let format = args.opt("format").unwrap_or("text");
     let k: usize = args.num("k", 8)?;
     let eps: f64 = args.num("eps", 0.05)?;
     let seed: u64 = args.num("seed", 42)?;
@@ -287,22 +253,24 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     // the JSON dump. `--metrics-every N` additionally flushes the file
     // every N batches so a long run (or one killed mid-stream) leaves a
     // scrapeable dump behind, not just the final snapshot.
-    let metrics_out: Option<String> = args.req("metrics-out").ok().map(String::from);
+    let metrics_out = args.opt("metrics-out");
     let metrics_every: usize = args.num("metrics-every", 0)?;
     if metrics_every > 0 && metrics_out.is_none() {
         return Err("--metrics-every needs --metrics-out FILE".into());
     }
+    let load_snapshot = args.opt("load-snapshot");
+    let save_snapshot = args.opt("save-snapshot");
+    let purge_before_save: bool = args.num("purge-before-save", false)?;
+    let output = args.opt("output");
+    args.finish()?;
     let write_metrics = |sp: &mut StreamingPartitioner, path: &str| -> Result<(), String> {
-        let dump = if path.ends_with(".prom") || path.ends_with(".txt") {
-            sp.metrics().render_text()
-        } else {
-            sp.metrics().render_json()
-        };
-        std::fs::write(path, dump).map_err(|e| format!("write metrics {path}: {e}"))
+        std::fs::write(path, render_metrics(sp.metrics(), path))
+            .map_err(|e| format!("write metrics {path}: {e}"))
     };
 
-    let (mut sp, n0, resumed_batches, resumed_tracker) = if let Ok(path) = args.req("load-snapshot")
-    {
+    let graph = load_graph(input, format)?;
+    let n = graph.num_vertices();
+    let (mut sp, resumed_batches, tracker) = if let Some(path) = load_snapshot {
         let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
         let mut reader = std::io::BufReader::new(file);
         // The replay scripts in original input ids, but the engine's id
@@ -311,27 +279,18 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         // carries the original→current map, so no epoch expectation here
         // — only shape (matching k, and the replay's two weight
         // dimensions: unit + degree).
-        let expect = mdbgp_stream::SnapshotExpectation::default()
-            .with_k(k)
-            .with_dims(2);
+        let expect = SnapshotExpectation::default().with_k(k).with_dims(2);
         let start = std::time::Instant::now();
         let mut sp = StreamingPartitioner::restore_expecting(&mut reader, &expect)
             .map_err(|e| format!("load snapshot {path}: {e}"))?;
         sp.set_threads(threads);
-        // `read_snapshot` consumed exactly the engine snapshot; what
+        // `restore_expecting` consumed exactly the engine snapshot; what
         // follows (if anything) is the replay's own trailer.
-        let trailer = mdbgp_bench::resume::read_trailer(&mut reader)
-            .map_err(|e| format!("load snapshot {path}: {e}"))?;
-        let (n0, batch_no, tracker) = match trailer {
+        let trailer =
+            read_trailer(&mut reader).map_err(|e| format!("load snapshot {path}: {e}"))?;
+        let (batch_no, tracker) = match trailer {
             Some(state) => {
-                let n0 = state.arrived as usize;
-                if n0 > n {
-                    return Err(format!(
-                        "snapshot covers {n0} streamed vertices but the input graph has only \
-                         {n} — wrong input file for this snapshot?"
-                    ));
-                }
-                let tracker = mdbgp_bench::churn::IdTracker::from_map(state.map);
+                let tracker = IdTracker::from_map(state.map);
                 // Light cross-validation: every live translation must
                 // land inside the restored engine's id space.
                 let engine_n = sp.graph().num_vertices() as u32;
@@ -346,13 +305,12 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
                         }
                     }
                 }
-                (n0, state.batch_no as usize, tracker)
+                (state.batch_no as usize, tracker)
             }
             None => {
-                // Legacy snapshot with no trailer: the old restrictions
-                // apply, because without the id map the replay can only
-                // continue if engine ids still *are* the original input
-                // ids — no purge (epoch 0) and no removals ever.
+                // Legacy snapshot with no trailer: without the id map the
+                // replay can only continue if engine ids still *are* the
+                // original input ids — no purge (epoch 0) and no removals.
                 if sp.id_epoch() != 0 || sp.telemetry().vertices_removed > 0 {
                     return Err(format!(
                         "cannot resume the replay from {path}: the snapshot carries no resume \
@@ -364,111 +322,74 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
                         sp.id_epoch()
                     ));
                 }
-                let n0 = sp.graph().num_vertices();
-                if n0 > n {
-                    return Err(format!(
-                        "snapshot covers {n0} vertices but the input graph has only {n} — \
-                         wrong input file for this snapshot?"
-                    ));
-                }
-                (n0, 0, mdbgp_bench::churn::IdTracker::identity(n0))
+                (0, IdTracker::identity(sp.graph().num_vertices()))
             }
         };
+        if tracker.len() > n {
+            return Err(format!(
+                "snapshot covers {} streamed vertices but the input graph has only {n} — wrong \
+                 input file for this snapshot?",
+                tracker.len()
+            ));
+        }
         println!(
-            "resumed from {path} in {:.2}s: {n0}/{n} vertices already ingested \
+            "resumed from {path} in {:.2}s: {}/{n} vertices already ingested \
              ({} batches so far, id epoch {}), locality {:.1}%, imbalance {:.2}%",
             start.elapsed().as_secs_f64(),
+            tracker.len(),
             sp.telemetry().batches,
             sp.id_epoch(),
             sp.store().edge_locality() * 100.0,
             sp.max_imbalance() * 100.0
         );
-        (sp, n0, batch_no, tracker)
+        (sp, batch_no, tracker)
     } else {
         let n0 = ((n as f64 * bootstrap_fraction) as usize)
             .max(k)
             .min(n.saturating_sub(1));
-        let prefix: Vec<u32> = (0..n0 as u32).collect();
-        let boot = InducedSubgraph::extract(&graph, &prefix);
-        let weights = VertexWeights::vertex_edge(&boot.graph);
-        let mut cfg = StreamConfig::new(k, eps).with_threads(threads);
-        cfg.gd = GdConfig {
-            iterations: 60,
-            ..GdConfig::with_epsilon(eps)
-        };
-        cfg.seed = seed;
-
+        let (boot, weights) = bootstrap_prefix(&graph, n0);
         let start = std::time::Instant::now();
-        let sp = StreamingPartitioner::bootstrap(boot.graph.clone(), weights, cfg)
-            .map_err(|e| e.to_string())?;
+        let sp =
+            StreamingPartitioner::bootstrap(boot, weights, stream_config(k, eps, threads, seed))
+                .map_err(|e| e.to_string())?;
         println!(
             "bootstrap on {n0}/{n} vertices in {:.2}s: locality {:.1}%, imbalance {:.2}%",
             start.elapsed().as_secs_f64(),
             sp.store().edge_locality() * 100.0,
             sp.max_imbalance() * 100.0
         );
-        (sp, n0, 0, mdbgp_bench::churn::IdTracker::identity(n0))
+        (sp, 0, IdTracker::identity(n0))
     };
 
-    let per_batch = (n - n0).div_ceil(batches.max(1));
-    let mut arrived = n0 as u32;
+    let per_batch = (n - tracker.len()).div_ceil(batches.max(1));
     let mut batch_no = resumed_batches;
-    // Fresh bootstrap: the identity tracker, trivially. Resume: the
-    // trailer's map (or, for a trailer-less legacy snapshot, identity —
-    // valid because that path rejects any run that removed vertices).
-    let mut tracker = resumed_tracker;
     // The churn RNG is reseeded fresh on resume: removal *victims* after
     // the resume point differ from the uninterrupted run's, which is
     // fine — victims are sampled from the live graph through the
     // tracker, so any sequence is a valid churn script. Resume restores
     // *state*, not the original run's future randomness.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-    while (arrived as usize) < n {
+    let mut gen = Generator::new(graph, StdRng::seed_from_u64(seed ^ 0x5EED), tracker);
+    while gen.remaining() > 0 {
         if stop_after > 0 && batch_no >= stop_after {
             println!(
                 "stopping after batch {batch_no} as requested ({} vertices left unstreamed)",
-                n - arrived as usize
+                gen.remaining()
             );
             break;
         }
         batch_no += 1;
-        let end = ((arrived as usize + per_batch).min(n)) as u32;
-        let mut batch = UpdateBatch::new();
-        // Arrival ids recycle tombstoned slots under churn; mirror the
-        // engine's free list so same-batch co-arrival edges resolve, and
-        // verify against the authoritative report below.
-        let predicted =
-            mdbgp_bench::churn::predict_arrival_ids(sp.graph(), (end - arrived) as usize);
-        for v in arrived..end {
-            let backward: Vec<u32> = graph
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| u < v)
-                .filter_map(|u| tracker.current(u))
-                .collect();
-            let w = backward.len().max(1) as f64;
-            batch.add_vertex(vec![1.0, w], backward);
-            tracker.push(predicted[(v - arrived) as usize]);
-        }
-        if churn > 0.0 {
-            let removals = ((end - arrived) as f64 * churn) as usize;
-            mdbgp_bench::churn::queue_removals(
-                &mut batch,
-                sp.graph(),
-                &mut tracker,
-                &mut rng,
-                removals,
-                removals,
-            );
-        }
-        arrived = end;
+        let arrivals = per_batch.min(gen.remaining());
+        let removals = (arrivals as f64 * churn) as usize;
+        let mix = Mix {
+            arrivals,
+            edge_removals: removals,
+            vertex_removals: removals,
+            ..Mix::default()
+        };
+        let batch = gen.next_batch(&sp, &mix)?;
         let start = std::time::Instant::now();
         let report = sp.ingest(&batch).map_err(|e| e.to_string())?;
-        if let Some(remap) = &report.remap {
-            tracker.apply_remap(remap);
-        }
-        mdbgp_bench::churn::verify_arrival_ids(&tracker, end, &report.arrival_ids)?;
+        gen.absorb(&report)?;
         println!(
             "batch {batch_no}: +{} -{} vertices, +{} -{} edges in {:.1}ms — imbalance \
              {:.2}%, locality {:.1}%{}{}",
@@ -497,7 +418,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             }
         );
         if metrics_every > 0 && batch_no.is_multiple_of(metrics_every) {
-            if let Some(path) = &metrics_out {
+            if let Some(path) = metrics_out {
                 write_metrics(&mut sp, path)?;
                 println!("flushed metrics -> {path} (batch {batch_no})");
             }
@@ -508,14 +429,13 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     // exists only to make the `--output` assignment cover exactly the
     // live vertices). The snapshot itself may be taken at any id epoch:
     // the resume trailer appended after it carries the replay's
-    // original→current id map, so a later `--load-snapshot` continues
-    // scripting in original ids regardless of purges. `--purge-before-save
-    // true` forces a purging compaction first — a deterministic way to
-    // exercise (and regression-test) the post-purge resume path.
-    if let Ok(path) = args.req("save-snapshot") {
-        if args.num::<bool>("purge-before-save", false)? {
+    // original→current id map. `--purge-before-save true` forces a
+    // purging compaction first — a deterministic way to exercise (and
+    // regression-test) the post-purge resume path.
+    if let Some(path) = save_snapshot {
+        if purge_before_save {
             if let Some(remap) = sp.purge() {
-                tracker.apply_remap(&remap);
+                gen.apply_remap(&remap);
             }
             println!(
                 "purged before save: id epoch {}, {} live vertices",
@@ -529,21 +449,24 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         let info = sp
             .save_snapshot(&mut file)
             .map_err(|e| format!("save snapshot {path}: {e}"))?;
-        let state = mdbgp_bench::resume::ResumeState {
-            arrived,
+        let state = ResumeState {
+            arrived: gen.arrived() as u32,
             batch_no: batch_no as u64,
-            map: tracker.as_slice().to_vec(),
+            map: gen.tracker().as_slice().to_vec(),
         };
-        mdbgp_bench::resume::write_trailer(&mut file, &state)
-            .map_err(|e| format!("save snapshot {path}: {e}"))?;
+        write_trailer(&mut file, &state).map_err(|e| format!("save snapshot {path}: {e}"))?;
         println!(
             "wrote snapshot -> {path} ({} payload bytes + resume trailer, id epoch {}, k {}, \
-             {} dims, {arrived} streamed)",
-            info.payload_bytes, info.id_epoch, info.k, info.dims
+             {} dims, {} streamed)",
+            info.payload_bytes,
+            info.id_epoch,
+            info.k,
+            info.dims,
+            gen.arrived()
         );
     }
 
-    if let Some(path) = &metrics_out {
+    if let Some(path) = metrics_out {
         write_metrics(&mut sp, path)?;
         println!("wrote metrics dump -> {path}");
     }
@@ -551,7 +474,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     // Under churn the final snapshot may still hold tombstoned ids; purge
     // so the partition written below covers exactly the live vertices.
     if let Some(remap) = sp.purge() {
-        tracker.apply_remap(&remap);
+        gen.apply_remap(&remap);
     }
     let t = sp.telemetry();
     println!(
@@ -567,7 +490,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         sp.max_imbalance() * 100.0,
         sp.store().edge_locality() * 100.0
     );
-    if let Ok(out) = args.req("output") {
+    if let Some(out) = output {
         let partition = sp.partition();
         let mut file = std::io::BufWriter::new(
             std::fs::File::create(out).map_err(|e| format!("create {out}: {e}"))?,
@@ -578,6 +501,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             // `original-id part` pairs instead (removed vertices have no
             // part and are omitted). Not `evaluate` input — the streamed
             // graph no longer matches the input file anyway.
+            let tracker = gen.tracker();
             for orig in 0..tracker.len() as u32 {
                 if let Some(cur) = tracker.current(orig) {
                     writeln!(file, "{orig} {}", partition.part_of(cur))
@@ -617,13 +541,15 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = Args::parse(rest).and_then(|args| match cmd.as_str() {
-        "generate" => cmd_generate(&args),
-        "partition" => cmd_partition(&args),
-        "evaluate" => cmd_evaluate(&args),
-        "stream" => cmd_stream(&args),
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
-    });
+    let result = Args::parse(rest)
+        .map_err(String::from)
+        .and_then(|args| match cmd.as_str() {
+            "generate" => cmd_generate(&args),
+            "partition" => cmd_partition(&args),
+            "evaluate" => cmd_evaluate(&args),
+            "stream" => cmd_stream(&args),
+            other => Err(format!("unknown command '{other}'\n{USAGE}")),
+        });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {

@@ -3,15 +3,14 @@
 //! scratch after every update batch.
 //!
 //! Scenario: a community graph bootstrapped at `--n` vertices receives
-//! `--batches` update batches, each bringing `--arrivals` new vertices
+//! `--batches` [`Shape::Uniform`] batches from
+//! [`mdbgp_bench::workload`], each bringing `--arrivals` new vertices
 //! (with their backward edges), `--extra-edges` fresh edges between
-//! existing vertices, correlated activity drift on `--drift` vertices
-//! of one shard (a hot-shard spike, so the refinement machinery actually
-//! runs), and — with `--churn F` — mixed deletions: `F · extra-edges`
-//! random live edges and `F · arrivals` random live vertices leave per
-//! batch, exercising the tombstone/purge path (the harness tracks the
-//! id remaps purging compactions report). After each batch both
-//! maintenance strategies must produce an ε-balanced partition:
+//! existing vertices, a hot-shard drift spike on `--drift` vertices (so
+//! the refinement machinery actually runs), and — with `--churn F` —
+//! `F · extra-edges` random live edges and `F · arrivals` random live
+//! vertices removed again. After each batch both maintenance strategies
+//! must produce an ε-balanced partition:
 //!
 //! * **incremental** — `StreamingPartitioner::ingest` (greedy placement +
 //!   drift-triggered warm-started refinement),
@@ -23,203 +22,91 @@
 //! and purge far more often).
 //!
 //! CI hooks: `--threads T` sizes the worker pool of the incremental path,
-//! `--json-out FILE` dumps the per-batch wall-clock / cut / imbalance
-//! record — including per-pipeline-stage totals
-//! (validate/split/place/repair/commit/refine) and the placement-conflict
-//! / repair-pass / rebalance-full-scan counters — and
-//! `--check-against BASELINE` gates the run against a committed record
-//! (`BENCH_stream.json`), failing on ε violations, on a machine-normalized
-//! wall-clock regression beyond `--max-regress` (default 0.30), or on a
-//! `rebalance_full_scans` increase over the baseline — see
-//! [`mdbgp_bench::perfgate`]. `--snapshot-every N` adds kill-and-resume
-//! cycles: every N batches the engine is serialized, discarded and
-//! restored from the bytes, the stream continuing on the restored
-//! instance; save/restore wall-clock lands in the perf record (v3 fields)
-//! so `--check-against BENCH_stream_snapshot.json` bounds warm-restart
-//! overhead alongside the usual gates. `--arrivals-heavy true` flips the defaults
-//! to a placement-bound preset (3000 arrivals, 100 extra edges, drift 30)
-//! whose ingest wall-clock is carried by the speculative placement +
-//! conflict repair stages — the leg the parallel-placement scaling check
-//! runs on (`BENCH_stream_place.json`).
+//! `--json-out FILE` writes the perf record ([`mdbgp_bench::perfgate`]),
+//! and `--check-against BASELINE` gates the run against a committed
+//! record (e.g. `BENCH_stream.json`) with `--max-regress` (default 0.30)
+//! as the band of the normalized wall-clock gates. `--metrics-out FILE`
+//! and `--metrics-det-out FILE` write the full and the deterministic
+//! metrics dumps (CI diffs the latter across thread counts).
+//! `--snapshot-every N` adds kill-and-resume cycles: every N batches the
+//! engine is serialized, discarded and restored from the bytes, the
+//! stream continuing on the restored instance; save/restore wall-clock
+//! lands in the record, and the restored engine carries the old
+//! registry over so the record and dumps cover the whole run.
+//! `--arrivals-heavy true` flips the defaults to a placement-bound preset
+//! (3000 arrivals, 100 extra edges, drift 30) whose ingest wall-clock is
+//! carried by the speculative placement + conflict repair stages.
+//! `--expect-speedup-over FILE` checks same-machine parallel scaling
+//! against a serial run's record (bar `--min-par-speedup`, default 1.2).
 
-use mdbgp_bench::churn::{predict_arrival_ids, queue_removals, verify_arrival_ids, IdTracker};
-use mdbgp_bench::perfgate::{
-    check_parallel_speedup, check_regression, BatchPerf, PerfQuantiles, PerfRecord,
-};
+use mdbgp_bench::perfgate::{check_parallel_speedup, PerfRecord};
 use mdbgp_bench::policies::timed;
 use mdbgp_bench::table::Table;
-use mdbgp_core::{GdConfig, GdPartitioner};
-use mdbgp_graph::{gen, InducedSubgraph, Partitioner, VertexWeights};
-use mdbgp_stream::{StreamConfig, StreamingPartitioner, UpdateBatch};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use mdbgp_bench::workload::{
+    acceptance, bin_main, scratch_solve, write_output, Defaults, Flags, Shape, StreamArgs,
+};
+use mdbgp_stream::StreamingPartitioner;
 use std::process::ExitCode;
-use std::time::Duration;
+
+const USAGE: &str = "usage: stream_online [--n N] [--batches B] [--arrivals A] \
+    [--extra-edges E] [--drift D] [--churn F] [--arrivals-heavy true] [--k K] [--eps EPS] \
+    [--seed S] [--threads T] [--snapshot-every N] [--json-out FILE] [--metrics-out FILE] \
+    [--metrics-det-out FILE] [--check-against BASELINE] [--max-regress FRAC] \
+    [--expect-speedup-over FILE] [--min-par-speedup X]";
 
 struct Args {
-    n: usize,
-    batches: usize,
-    arrivals: usize,
-    extra_edges: usize,
-    drift: usize,
-    churn: f64,
-    k: usize,
-    eps: f64,
-    seed: u64,
-    threads: usize,
+    stream: StreamArgs,
     snapshot_every: usize,
-    json_out: Option<String>,
-    metrics_out: Option<String>,
     metrics_det_out: Option<String>,
-    check_against: Option<String>,
-    max_regress: f64,
     expect_speedup_over: Option<String>,
     min_par_speedup: f64,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut map = HashMap::new();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let key = argv[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got '{}'", argv[i]))?;
-        let value = argv
-            .get(i + 1)
-            .ok_or_else(|| format!("--{key} needs a value"))?;
-        map.insert(key.to_string(), value.clone());
-        i += 2;
-    }
+fn parse_args(flags: &Flags) -> Result<Args, String> {
     // `--arrivals-heavy true`: a placement-bound preset — large arrival
     // batches, few extra edges, low drift — so the speculative placement
     // stage dominates the ingest wall-clock and the CI scaling check
     // measures *it*, not refinement. Individual flags still override.
-    let arrivals_heavy = match map.get("arrivals-heavy").map(String::as_str) {
-        None => false,
+    let arrivals_heavy = match flags.opt("arrivals-heavy") {
+        None | Some("false") | Some("0") => false,
         Some("true") | Some("1") => true,
-        Some("false") | Some("0") => false,
         Some(v) => return Err(format!("--arrivals-heavy: expected true/false, got '{v}'")),
     };
-    let (d_arrivals, d_extra, d_drift) = if arrivals_heavy {
-        (3000, 100, 30)
-    } else {
-        (500, 500, 150)
-    };
-    let num = |key: &str, default: usize| -> Result<usize, String> {
-        map.get(key).map_or(Ok(default), |v| {
-            v.parse()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'"))
-        })
+    let defaults = Defaults {
+        n: 50_000,
+        batches: 10,
+        arrivals: if arrivals_heavy { 3000 } else { 500 },
+        extra_edges: if arrivals_heavy { 100 } else { 500 },
+        // Drift is concentrated on one shard, so the default 150
+        // updates/batch already trigger refinement on roughly half the
+        // batches — enough to exercise the path without drowning the
+        // placement numbers.
+        drift: if arrivals_heavy { 30 } else { 150 },
+        churn: 0.0,
     };
     Ok(Args {
-        n: num("n", 50_000)?,
-        batches: num("batches", 10)?,
-        arrivals: num("arrivals", d_arrivals)?,
-        extra_edges: num("extra-edges", d_extra)?,
-        // Drift is concentrated on one shard (see the batch assembly), so
-        // the default 150 updates/batch already trigger refinement on
-        // roughly half the batches — enough to exercise the path without
-        // drowning the placement numbers.
-        drift: num("drift", d_drift)?,
-        churn: match map.get("churn").map_or(Ok(0.0), |v| {
-            v.parse()
-                .map_err(|_| format!("--churn: cannot parse '{v}'"))
-        })? {
-            c if (0.0..1.0).contains(&c) => c,
-            c => return Err(format!("--churn must be in [0, 1), got {c}")),
-        },
-        k: num("k", 8)?,
-        eps: map.get("eps").map_or(Ok(0.05), |v| {
-            v.parse().map_err(|_| format!("--eps: cannot parse '{v}'"))
-        })?,
-        seed: num("seed", 42)? as u64,
-        threads: match num("threads", 1)? {
-            0 => return Err("--threads must be positive".into()),
-            t => t,
-        },
-        // Every N batches: save a snapshot, kill the engine, restore from
-        // the bytes and continue — measuring save/restore wall-clock into
-        // the perf record so the gate can bound warm-restart overhead.
-        snapshot_every: num("snapshot-every", 0)?,
-        json_out: map.get("json-out").cloned(),
-        // Full metrics dump (counters + histograms + spans + journal) and
-        // the deterministic subset (identical across thread counts; CI
-        // diffs the serial and parallel legs' files byte-for-byte).
-        metrics_out: map.get("metrics-out").cloned(),
-        metrics_det_out: map.get("metrics-det-out").cloned(),
-        check_against: map.get("check-against").cloned(),
-        max_regress: map.get("max-regress").map_or(Ok(0.30), |v| {
-            v.parse()
-                .map_err(|_| format!("--max-regress: cannot parse '{v}'"))
-        })?,
-        expect_speedup_over: map.get("expect-speedup-over").cloned(),
+        stream: StreamArgs::parse(flags, defaults)?,
+        snapshot_every: flags.num("snapshot-every", 0)?,
+        metrics_det_out: flags.opt("metrics-det-out").map(String::from),
+        expect_speedup_over: flags.opt("expect-speedup-over").map(String::from),
         // Conservative default: the CI runners have few cores and the
         // refinement rounds bound the useful parallelism, so the bar
         // catches a serialized parallel path without flaking on a busy
-        // runner. Reproduce the full speedup locally on a many-core box.
-        min_par_speedup: map.get("min-par-speedup").map_or(Ok(1.2), |v| {
-            v.parse()
-                .map_err(|_| format!("--min-par-speedup: cannot parse '{v}'"))
-        })?,
+        // runner.
+        min_par_speedup: flags.num("min-par-speedup", 1.2)?,
     })
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!(
-                "error: {e}\nusage: stream_online [--n N] [--batches B] [--arrivals A] \
-                 [--extra-edges E] [--drift D] [--churn F] [--arrivals-heavy true] [--k K] \
-                 [--eps EPS] [--seed S] [--threads T] [--snapshot-every N] [--json-out FILE] \
-                 [--metrics-out FILE] [--metrics-det-out FILE] \
-                 [--check-against BASELINE] [--max-regress FRAC] [--expect-speedup-over FILE] \
-                 [--min-par-speedup X]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let total_n = args.n + args.batches * args.arrivals;
-    println!(
-        "stream_online: n={} (+{} arrivals/batch x {} batches), k={}, eps={}, threads={}, \
-         churn={}",
-        args.n, args.arrivals, args.batches, args.k, args.eps, args.threads, args.churn
-    );
+    bin_main(USAGE, parse_args, run)
+}
 
-    // Full history graph; the prefix is the bootstrap snapshot.
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let cg = gen::community_graph(&gen::CommunityGraphConfig::social(total_n), &mut rng);
-    let full = cg.graph;
-    let prefix: Vec<u32> = (0..args.n as u32).collect();
-    let boot = InducedSubgraph::extract(&full, &prefix);
-    let boot_weights = VertexWeights::vertex_edge(&boot.graph);
-
-    let mut cfg = StreamConfig::new(args.k, args.eps).with_threads(args.threads);
-    cfg.gd = GdConfig {
-        iterations: 60,
-        // The scratch reference must use the same thread count as the
-        // incremental path, or the normalized wall-clock gate compares a
-        // parallel numerator against a serial denominator and goes soft
-        // exactly on the multi-threaded CI leg.
-        threads: args.threads,
-        ..GdConfig::with_epsilon(args.eps)
-    };
-    cfg.seed = args.seed;
+fn run(a: &Args) -> Result<(), String> {
+    let args = &a.stream;
+    println!("stream_online: {args}");
+    let cfg = args.config();
     let gd_cfg = cfg.gd.clone();
-
-    let (sp, boot_time) = timed(|| {
-        StreamingPartitioner::bootstrap(boot.graph.clone(), boot_weights, cfg)
-            .expect("bootstrap partition failed")
-    });
-    let mut sp = sp;
-    println!(
-        "bootstrap: {:.2}s, locality {:.1}%, imbalance {:.2}%\n",
-        boot_time.as_secs_f64(),
-        sp.store().edge_locality() * 100.0,
-        sp.max_imbalance() * 100.0
-    );
+    let (mut sp, mut gen) = args.bootstrap(cfg);
 
     let mut table = Table::new([
         "batch",
@@ -230,173 +117,75 @@ fn main() -> ExitCode {
         "inc loc %",
         "scratch loc %",
     ]);
-    let mut inc_total = Duration::ZERO;
-    let mut scratch_total = Duration::ZERO;
-    // validate / split / place / repair / commit / refine, summed (ms).
-    let mut stage_totals = [0.0f64; 6];
-    let mut eps_ok = true;
-    let mut arrived = args.n as u32;
-    // Original-id bookkeeping: churn remaps engine ids at every purge, so
-    // the replay addresses the engine through this translation.
-    let mut tracker = IdTracker::identity(args.n);
-    let mut batch_perf: Vec<BatchPerf> = Vec::with_capacity(args.batches);
-    let mut snap_save = Duration::ZERO;
-    let mut snap_restore = Duration::ZERO;
-    let mut snapshots = 0usize;
+    let mut record = PerfRecord::new(args.threads, args.churn);
     let mut snap_bytes = 0usize;
 
     for batch_no in 1..=args.batches {
-        // Assemble the batch: arrivals with backward edges, extra edges,
-        // activity drift, then (under --churn) removals.
-        let mut batch = UpdateBatch::new();
-        let end = arrived + args.arrivals as u32;
-        // Under churn the engine recycles tombstoned ids, so arrival ids
-        // are predicted by mirroring its free list (needed for same-batch
-        // co-arrival edges) and verified against the report afterwards.
-        let predicted = predict_arrival_ids(sp.graph(), args.arrivals);
-        for v in arrived..end {
-            let backward: Vec<u32> = full
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| u < v)
-                .filter_map(|u| tracker.current(u))
-                .collect();
-            let degree_weight = backward.len().max(1) as f64;
-            batch.add_vertex(vec![1.0, degree_weight], backward);
-            tracker.push(predicted[(v - arrived) as usize]);
-        }
-        for _ in 0..args.extra_edges {
-            let u = tracker.current(rng.gen_range(0..arrived));
-            let v = tracker.current(rng.gen_range(0..arrived));
-            if let (Some(u), Some(v)) = (u, v) {
-                batch.add_edge(u, v);
-            }
-        }
-        // Correlated activity spike: drift concentrates on shard 0 so
-        // balance actually erodes and the refinement path (heap rebalance
-        // + parallel pairwise GD) is exercised — uniform drift cancels out
-        // in expectation and never crosses the trigger band, gating
-        // nothing. Members are collected up front: rejection sampling
-        // would hang, not fail, should the shard ever end up empty.
-        if args.drift > 0 {
-            let shard0: Vec<u32> = (0..arrived)
-                .filter_map(|o| tracker.current(o))
-                .filter(|&c| sp.shard_of(c) == 0)
-                .collect();
-            if shard0.is_empty() {
-                eprintln!("FAIL: shard 0 is empty; cannot apply the drift spike");
-                return ExitCode::FAILURE;
-            }
-            for _ in 0..args.drift {
-                let v = shard0[rng.gen_range(0..shard0.len())];
-                batch.set_weight(v, 0, rng.gen_range(1.5..3.0));
-            }
-        }
-        if args.churn > 0.0 {
-            queue_removals(
-                &mut batch,
-                sp.graph(),
-                &mut tracker,
-                &mut rng,
-                (args.extra_edges as f64 * args.churn) as usize,
-                (args.arrivals as f64 * args.churn) as usize,
-            );
-        }
-        arrived = end;
-
-        // Incremental path.
+        let batch = gen.next_batch(&sp, &args.mix(Shape::Uniform, batch_no))?;
         let (report, inc_time) = timed(|| sp.ingest(&batch).expect("ingest failed"));
-        inc_total += inc_time;
-        let timings = report.timings();
-        stage_totals = [
-            stage_totals[0] + timings.validate_ms,
-            stage_totals[1] + timings.split_ms,
-            stage_totals[2] + timings.place_ms,
-            stage_totals[3] + timings.repair_ms,
-            stage_totals[4] + timings.commit_ms,
-            stage_totals[5] + timings.refine_ms,
-        ];
-        if report.max_imbalance > args.eps + 1e-9 {
-            eps_ok = false;
-        }
-        if let Some(remap) = &report.remap {
-            tracker.apply_remap(remap);
-        }
-        // The predictions fed the tracker before ingest; the report's
-        // arrival_ids are the authority (already post-remap).
-        if let Err(e) = verify_arrival_ids(&tracker, end, &report.arrival_ids) {
-            eprintln!("FAIL: {e}");
-            return ExitCode::FAILURE;
-        }
+        gen.absorb(&report)?;
 
         // Kill-and-resume cycle: serialize the engine, throw it away,
         // restore from the bytes and continue the stream on the restored
         // instance — so every later batch (and ε check) runs on a
-        // warm-restarted engine, proving the round trip mid-stream. The
-        // id tracker needs no adjustment: a snapshot preserves the id
-        // space (and epoch) exactly.
-        if args.snapshot_every > 0 && batch_no % args.snapshot_every == 0 {
+        // warm-restarted engine. A snapshot preserves the id space (and
+        // epoch) exactly, so the generator needs no adjustment.
+        if a.snapshot_every > 0 && batch_no % a.snapshot_every == 0 {
             let (bytes, save_time) = timed(|| {
-                let mut buf = Vec::new();
-                sp.save_snapshot(&mut buf).expect("snapshot save failed");
-                buf
+                let mut bytes = Vec::new();
+                sp.save_snapshot(&mut bytes).expect("snapshot save failed");
+                bytes
             });
-            let (restored, restore_time) =
+            let (mut restored, restore_time) =
                 timed(|| StreamingPartitioner::restore(&bytes[..]).expect("restore failed"));
             if restored.store().as_slice() != sp.store().as_slice() {
-                eprintln!("FAIL: restored engine's assignment diverged from the saver");
-                return ExitCode::FAILURE;
+                return Err("restored engine's assignment diverged from the saver".into());
             }
+            // The registry is not part of the snapshot: carry the dead
+            // engine's account over so the run is measured end to end.
+            restored.metrics_mut().carry_over(sp.metrics());
+            record.add("snapshot_save_total_ms", save_time.as_secs_f64() * 1e3);
+            record.add(
+                "snapshot_restore_total_ms",
+                restore_time.as_secs_f64() * 1e3,
+            );
+            record.add("snapshots", 1.0);
             snap_bytes = bytes.len();
-            snap_save += save_time;
-            snap_restore += restore_time;
-            snapshots += 1;
-            sp = restored; // the old engine is dead; long live the engine
+            sp = restored;
         }
 
-        // Scratch path: full GD on the same post-batch live graph/weights
-        // (snapshot construction is not charged to the solver).
-        let (snapshot, weights, _) = sp.graph().live_snapshot();
-        let (scratch, scratch_time) = timed(|| {
-            GdPartitioner::new(gd_cfg.clone())
-                .partition(&snapshot, &weights, args.k, args.seed + batch_no as u64)
-                .expect("scratch partition failed")
-        });
-        scratch_total += scratch_time;
-
-        batch_perf.push(BatchPerf {
-            batch: batch_no,
-            inc_ms: inc_time.as_secs_f64() * 1e3,
-            scratch_ms: scratch_time.as_secs_f64() * 1e3,
-            cut_edges: sp.store().cut_edges(),
-            imbalance: report.max_imbalance,
-            locality: report.edge_locality,
-        });
-
+        record.push_batch(
+            batch_no,
+            &report,
+            inc_time,
+            sp.store().cut_edges(),
+            args.eps,
+        );
+        let scratch = scratch_solve(&sp, &gd_cfg, args.k, args.seed + batch_no as u64);
+        record.add_scratch(scratch.elapsed);
         table.row([
             format!("{batch_no}"),
             format!("{:.1}", inc_time.as_secs_f64() * 1e3),
-            format!("{:.1}", scratch_time.as_secs_f64() * 1e3),
+            format!("{:.1}", scratch.elapsed.as_secs_f64() * 1e3),
             format!(
                 "{:.1}x",
-                scratch_time.as_secs_f64() / inc_time.as_secs_f64().max(1e-9)
+                scratch.elapsed.as_secs_f64() / inc_time.as_secs_f64().max(1e-9)
             ),
             format!("{:.2}", report.max_imbalance * 100.0),
             format!("{:.1}", report.edge_locality * 100.0),
-            format!("{:.1}", scratch.edge_locality(&snapshot) * 100.0),
+            format!("{:.1}", scratch.locality * 100.0),
         ]);
     }
     println!("{table}");
 
-    let speedup = scratch_total.as_secs_f64() / inc_total.as_secs_f64().max(1e-9);
-    let gd_full = sp.metrics().counter("core.gd.grad_full_recomputes") as usize;
-    let gd_delta = sp.metrics().counter("core.gd.grad_delta_iters") as usize;
+    record.read_registry(sp.metrics());
+    record.finish(sp.store().edge_locality(), sp.max_imbalance());
+    let speedup = record.value("speedup");
     let t = sp.telemetry();
     println!(
         "totals: incremental {:.2}s vs scratch {:.2}s -> {speedup:.1}x speedup",
-        inc_total.as_secs_f64(),
-        scratch_total.as_secs_f64()
+        record.value("inc_total_ms") / 1e3,
+        record.value("scratch_total_ms") / 1e3
     );
     println!(
         "telemetry: {} placed, {} removed, +{} -{} edges, {} weight updates, \
@@ -419,185 +208,71 @@ fn main() -> ExitCode {
     println!(
         "stages (ms): validate {:.1}, split {:.1}, place {:.1}, repair {:.1}, commit {:.1}, \
          refine {:.1}",
-        stage_totals[0],
-        stage_totals[1],
-        stage_totals[2],
-        stage_totals[3],
-        stage_totals[4],
-        stage_totals[5]
+        record.value("validate_total_ms"),
+        record.value("split_total_ms"),
+        record.value("place_total_ms"),
+        record.value("repair_total_ms"),
+        record.value("commit_total_ms"),
+        record.value("refine_total_ms")
     );
-    println!("gd gradients: {gd_full} full recomputes, {gd_delta} delta iterations");
-    if snapshots > 0 {
+    println!(
+        "gd gradients: {} full recomputes, {} delta iterations",
+        record.value("gd_full_recomputes"),
+        record.value("gd_delta_iters")
+    );
+    if snap_bytes > 0 {
         println!(
-            "snapshots: {snapshots} kill-and-resume cycles, save {:.1} ms, restore {:.1} ms \
+            "snapshots: {} kill-and-resume cycles, save {:.1} ms, restore {:.1} ms \
              ({snap_bytes} bytes last)",
-            snap_save.as_secs_f64() * 1e3,
-            snap_restore.as_secs_f64() * 1e3
+            record.value("snapshots"),
+            record.value("snapshot_save_total_ms"),
+            record.value("snapshot_restore_total_ms")
         );
     }
 
-    let record = PerfRecord {
-        threads: args.threads,
-        churn: args.churn,
-        inc_total_ms: inc_total.as_secs_f64() * 1e3,
-        scratch_total_ms: scratch_total.as_secs_f64() * 1e3,
-        speedup,
-        eps_ok,
-        final_locality: sp.store().edge_locality(),
-        final_imbalance: sp.max_imbalance(),
-        validate_total_ms: stage_totals[0],
-        split_total_ms: stage_totals[1],
-        place_total_ms: stage_totals[2],
-        repair_total_ms: stage_totals[3],
-        commit_total_ms: stage_totals[4],
-        refine_total_ms: stage_totals[5],
-        placement_conflicts: Some(t.placement_conflicts),
-        repair_passes: Some(t.repair_passes),
-        rebalance_full_scans: Some(t.rebalance_full_scans),
-        snapshot_save_total_ms: snap_save.as_secs_f64() * 1e3,
-        snapshot_restore_total_ms: snap_restore.as_secs_f64() * 1e3,
-        snapshots: (snapshots > 0).then_some(snapshots),
-        quantiles: {
-            // v4: tail quantiles straight from the metrics registry — the
-            // per-stage span histograms record microseconds per batch, the
-            // iteration histogram counts GD iterations per refine_pair.
-            let m = sp.metrics();
-            let stage_p99_ms = |name: &str| {
-                m.summary(name)
-                    .map(|s| s.p99 as f64 / 1000.0)
-                    .unwrap_or(0.0)
-            };
-            let iters = m.summary("core.gd.refine_iterations");
-            Some(PerfQuantiles {
-                refine_iters_p50: iters.as_ref().map(|s| s.p50 as f64).unwrap_or(0.0),
-                refine_iters_p99: iters.as_ref().map(|s| s.p99 as f64).unwrap_or(0.0),
-                validate_p99_ms: stage_p99_ms("span.ingest.validate_us"),
-                split_p99_ms: stage_p99_ms("span.ingest.split_us"),
-                place_p99_ms: stage_p99_ms("span.ingest.place_us"),
-                repair_p99_ms: stage_p99_ms("span.ingest.repair_us"),
-                commit_p99_ms: stage_p99_ms("span.ingest.commit_us"),
-                refine_p99_ms: stage_p99_ms("span.ingest.refine_us"),
-            })
-        },
-        // v5: delta-gradient engagement counters — deterministic for a
-        // fixed workload, so baseline diffs show how much of the refine
-        // work the sparse diff path absorbed.
-        gd_full_recomputes: Some(gd_full),
-        gd_delta_iters: Some(gd_delta),
-        // v6: serving-side fields belong to stream_serve records only;
-        // an ingest-only run has no reader threads to measure.
-        lookups_per_sec: None,
-        lookup_p99_us: None,
-        // v7: stage-parallelism telemetry — the counts are deterministic
-        // for a fixed workload, the compaction wall-clock is not (and is
-        // therefore never gated).
-        split_parallel_ranges: Some(sp.metrics().counter("stream.split.parallel_ranges") as usize),
-        repair_spec_rounds: Some(sp.metrics().counter("stream.repair.spec_rounds") as usize),
-        compact_parallel_ms: sp.metrics().gauge("stream.compact.parallel_ms"),
-        // v8: replication fields belong to stream_replicate records only.
-        replay_total_ms: 0.0,
-        replay_batches: None,
-        log_bytes: None,
-        log_rotations: None,
-        followers: None,
-        batches: batch_perf,
-    };
-    if let Some(path) = &args.json_out {
-        if let Err(e) = std::fs::write(path, record.to_json()) {
-            eprintln!("FAIL: cannot write --json-out {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote perf record -> {path}");
-    }
-    if let Some(path) = &args.metrics_out {
-        // `.prom`/`.txt` gets the Prometheus text exposition; everything
-        // else the line-oriented JSON dump that `metrics_check` validates.
-        let dump = if path.ends_with(".prom") || path.ends_with(".txt") {
-            sp.metrics().render_text()
-        } else {
-            sp.metrics().render_json()
-        };
-        if let Err(e) = std::fs::write(path, dump) {
-            eprintln!("FAIL: cannot write --metrics-out {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote metrics dump -> {path}");
-    }
-    if let Some(path) = &args.metrics_det_out {
-        if let Err(e) = std::fs::write(path, sp.metrics().deterministic_json()) {
-            eprintln!("FAIL: cannot write --metrics-det-out {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote deterministic metrics dump -> {path}");
+    args.write_record(&record)?;
+    args.write_metrics(sp.metrics())?;
+    if let Some(path) = &a.metrics_det_out {
+        write_output("metrics-det-out", path, &sp.metrics().deterministic_json())?;
     }
 
-    if !eps_ok {
-        eprintln!("FAIL: incremental path violated ε");
-        return ExitCode::FAILURE;
-    }
     // Deletion batches trigger refinement (and its purging compactions)
     // far more often than add-only ones, so the churn acceptance bar is
     // "still clearly beating scratch"; the add-only bar stays at 5x. The
     // baseline gate below guards against gradual regression either way.
     let speedup_bar = if args.churn > 0.0 { 2.0 } else { 5.0 };
-    if speedup < speedup_bar {
-        eprintln!("FAIL: speedup {speedup:.1}x below the {speedup_bar}x acceptance bar");
-        return ExitCode::FAILURE;
+    acceptance([
+        (
+            record.get("eps_ok") == Some(1.0),
+            "incremental path violated ε".into(),
+        ),
+        (
+            speedup >= speedup_bar,
+            format!("speedup {speedup:.1}x below the {speedup_bar}x acceptance bar"),
+        ),
+    ])?;
+    if let Some(baseline) = args.gate(&record)? {
+        println!(
+            "perf gate: normalized wall-clock {:.4} vs baseline {:.4} — within {:.0}%",
+            record.normalized_wallclock(),
+            baseline.normalized_wallclock(),
+            args.max_regress * 100.0
+        );
     }
-
-    // Perf gate: compare against the committed baseline record.
-    if let Some(path) = &args.check_against {
-        let baseline = match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| PerfRecord::from_json(&text))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("FAIL: cannot load baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match check_regression(&record, &baseline, args.max_regress) {
-            Ok(()) => println!(
-                "perf gate: normalized wall-clock {:.4} vs baseline {:.4} — within {:.0}%",
-                record.normalized_wallclock(),
-                baseline.normalized_wallclock(),
-                args.max_regress * 100.0
-            ),
-            Err(reasons) => {
-                eprintln!("FAIL: perf gate: {reasons}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     // Parallel-scaling check: same-machine comparison against a serial
     // run's record from the same CI job.
-    if let Some(path) = &args.expect_speedup_over {
-        let serial = match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| PerfRecord::from_json(&text))
-        {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("FAIL: cannot load serial record {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match check_parallel_speedup(&record, &serial, args.min_par_speedup) {
-            Ok(()) => println!(
-                "parallel scaling: {:.2}x over the threads={} run (bar {:.2}x)",
-                serial.inc_total_ms / record.inc_total_ms.max(1e-9),
-                serial.threads,
-                args.min_par_speedup
-            ),
-            Err(reason) => {
-                eprintln!("FAIL: parallel scaling: {reason}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = &a.expect_speedup_over {
+        let serial = PerfRecord::load(path)?;
+        check_parallel_speedup(&record, &serial, a.min_par_speedup)
+            .map_err(|e| format!("parallel scaling: {e}"))?;
+        println!(
+            "parallel scaling: {:.2}x over the threads={} run (bar {:.2}x)",
+            serial.value("inc_total_ms") / record.value("inc_total_ms").max(1e-9),
+            serial.value("threads"),
+            a.min_par_speedup
+        );
     }
 
     println!("PASS: ε held after every batch, speedup {speedup:.1}x >= {speedup_bar}x");
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -11,12 +11,14 @@
 //!   (hash / vertex / edge / vertex-edge and the baseline algorithms),
 //! * [`table`] — plain-text tables and bar charts that mimic the paper's
 //!   figures in a terminal,
-//! * [`perfgate`] — the CI perf-regression gate: flat-JSON perf records
-//!   emitted by `stream_online --json-out` and the machine-independent
-//!   comparison against the committed `BENCH_stream.json` /
-//!   `BENCH_stream_churn.json` baselines,
+//! * [`perfgate`] — the CI perf-regression gate: the flat perf record
+//!   the stream bins emit with `--json-out` and the declarative gate table
+//!   that compares it, machine-normalized, against a committed
+//!   `BENCH_stream*.json` baseline,
 //! * [`churn`] — id tracking and removal-batch generation for driving
-//!   deletion workloads through the streaming harnesses.
+//!   deletion workloads through the streaming harnesses,
+//! * [`workload`] — the stream benches' shared flag parser, history
+//!   graph, bootstrap configuration and batch generator.
 
 pub mod churn;
 pub mod curves;
@@ -25,6 +27,7 @@ pub mod perfgate;
 pub mod policies;
 pub mod resume;
 pub mod table;
+pub mod workload;
 
 pub use datasets::Dataset;
 pub use policies::Policy;

@@ -36,23 +36,13 @@ use std::io::Read;
 use std::io::Write;
 
 use mdbgp_graph::VertexId;
+use mdbgp_stream::snapshot::fnv1a;
 
 /// First 8 bytes of a resume trailer.
 pub const TRAILER_MAGIC: [u8; 8] = *b"MDBGPRPL";
 
 /// Current trailer format version.
 pub const TRAILER_VERSION: u32 = 1;
-
-/// FNV-1a 64 (same parameters as the stream crate's snapshot/log
-/// checksums, re-stated here because that helper is crate-private).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The replay-harness state a resumed process needs alongside the engine
 /// snapshot.

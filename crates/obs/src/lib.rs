@@ -586,6 +586,59 @@ impl MetricsRegistry {
         });
     }
 
+    /// Folds an earlier registry in, as if this one had recorded
+    /// everything `earlier` did before its own first event: counters,
+    /// histograms and span totals add up, a gauge keeps this registry's
+    /// value when it has one (it is the newer reading) and `earlier`'s
+    /// otherwise, and `earlier`'s journal events precede this one's with
+    /// sequence numbers kept monotone. For harnesses that replace an engine
+    /// mid-run (a snapshot restore starts an empty registry) and still
+    /// want one account of the whole run.
+    pub fn carry_over(&mut self, earlier: &MetricsRegistry) {
+        if !self.enabled {
+            return;
+        }
+        for (name, value) in &earlier.metrics {
+            match (self.metrics.get_mut(name), value) {
+                (None, v) => {
+                    self.metrics.insert(name.clone(), v.clone());
+                }
+                (Some(MetricValue::Counter(c)), MetricValue::Counter(e)) => *c += e,
+                (Some(MetricValue::Gauge(_)), MetricValue::Gauge(_)) => {}
+                (Some(MetricValue::Histogram(h)), MetricValue::Histogram(e)) => {
+                    for (b, eb) in h.buckets.iter_mut().zip(e.buckets.iter()) {
+                        *b += eb;
+                    }
+                    h.count += e.count;
+                    h.sum = h.sum.saturating_add(e.sum);
+                    h.max = h.max.max(e.max);
+                }
+                _ => panic!("metric {name:?} changed kind between registries"),
+            }
+        }
+        for (path, stat) in &earlier.spans {
+            let mine = self.spans.entry(path.clone()).or_default();
+            mine.count += stat.count;
+            mine.total_ms += stat.total_ms;
+        }
+        let offset = earlier.journal.next_seq;
+        let mut events = earlier.journal.events.clone();
+        events.extend(self.journal.events.drain(..).map(|mut e| {
+            e.seq += offset;
+            e
+        }));
+        let mut dropped = earlier.journal.dropped + self.journal.dropped;
+        while events.len() > JOURNAL_CAPACITY {
+            events.pop_front();
+            dropped += 1;
+        }
+        self.journal = Journal {
+            events,
+            next_seq: offset + self.journal.next_seq,
+            dropped,
+        };
+    }
+
     // -- reading -----------------------------------------------------------
 
     pub fn counter(&self, name: &str) -> u64 {
@@ -1257,6 +1310,30 @@ mod tests {
         assert_eq!(snap.count(), 4000);
         assert_eq!(snap.max(), 3999);
         assert_eq!(snap.sum(), (0..4000u64).sum::<u64>());
+    }
+
+    #[test]
+    fn carry_over_accounts_for_both_registries() {
+        let mut earlier = MetricsRegistry::new();
+        earlier.counter_add("c", 3);
+        earlier.gauge_set("g_old", 1.0);
+        earlier.gauge_set("g", 1.0);
+        earlier.observe("h", 4);
+        earlier.journal_event("a", &[]);
+        let mut later = MetricsRegistry::new();
+        later.counter_add("c", 2);
+        later.gauge_set("g", 2.0);
+        later.observe("h", 1000);
+        later.journal_event("b", &[]);
+        later.carry_over(&earlier);
+        assert_eq!(later.counter("c"), 5);
+        assert_eq!(later.gauge("g"), Some(2.0), "the newer gauge reading wins");
+        assert_eq!(later.gauge("g_old"), Some(1.0));
+        let h = later.summary("h").unwrap();
+        assert_eq!((h.count, h.sum, h.max), (2, 1004, 1000));
+        let events: Vec<_> = later.events().map(|e| (e.seq, e.event)).collect();
+        assert_eq!(events, vec![(0, "a"), (1, "b")]);
+        validate_dump(&later.render_json(), &["c", "g", "g_old", "h"]).unwrap();
     }
 
     #[test]

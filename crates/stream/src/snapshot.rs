@@ -309,7 +309,9 @@ impl SnapshotExpectation {
 
 /// FNV-1a 64-bit — tiny, dependency-free, and plenty for the integrity
 /// check this format needs (any accidental byte flip changes the hash).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// Public so harness-side formats framed alongside a snapshot (the CLI's
+/// resume trailer) checksum with the same function.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;
