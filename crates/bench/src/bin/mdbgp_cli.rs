@@ -225,8 +225,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
 /// original→current id map, and `--load-snapshot FILE` resumes a later
 /// invocation from that state instead of bootstrapping — streaming
 /// continues from wherever the saved run stopped, at any id epoch. A
-/// snapshot without a trailer resumes only if its engine ids still *are*
-/// the input ids: id epoch 0 and no removals so far.
+/// snapshot file without a trailer is rejected by name.
 fn cmd_stream(args: &Args) -> Result<(), String> {
     let input = args.req("input")?;
     let format = args.opt("format").unwrap_or("text");
@@ -284,47 +283,24 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         let mut sp = StreamingPartitioner::restore_expecting(&mut reader, &expect)
             .map_err(|e| format!("load snapshot {path}: {e}"))?;
         sp.set_threads(threads);
-        // `restore_expecting` consumed exactly the engine snapshot; what
-        // follows (if anything) is the replay's own trailer.
-        let trailer =
-            read_trailer(&mut reader).map_err(|e| format!("load snapshot {path}: {e}"))?;
-        let (batch_no, tracker) = match trailer {
-            Some(state) => {
-                let tracker = IdTracker::from_map(state.map);
-                // Light cross-validation: every live translation must
-                // land inside the restored engine's id space.
-                let engine_n = sp.graph().num_vertices() as u32;
-                for orig in 0..tracker.len() as u32 {
-                    if let Some(cur) = tracker.current(orig) {
-                        if cur >= engine_n {
-                            return Err(format!(
-                                "resume trailer maps original vertex {orig} to engine id {cur}, \
-                                 outside the restored engine's {engine_n}-vertex id space — \
-                                 trailer and snapshot disagree"
-                            ));
-                        }
-                    }
-                }
-                (state.batch_no as usize, tracker)
-            }
-            None => {
-                // Legacy snapshot with no trailer: without the id map the
-                // replay can only continue if engine ids still *are* the
-                // original input ids — no purge (epoch 0) and no removals.
-                if sp.id_epoch() != 0 || sp.telemetry().vertices_removed > 0 {
+        // `restore_expecting` consumed exactly the engine snapshot; the
+        // replay's own trailer follows.
+        let state = read_trailer(&mut reader).map_err(|e| format!("load snapshot {path}: {e}"))?;
+        let tracker = IdTracker::from_map(state.map);
+        // Light cross-validation: every live translation must land
+        // inside the restored engine's id space.
+        let engine_n = sp.graph().num_vertices() as u32;
+        for orig in 0..tracker.len() as u32 {
+            if let Some(cur) = tracker.current(orig) {
+                if cur >= engine_n {
                     return Err(format!(
-                        "cannot resume the replay from {path}: the snapshot carries no resume \
-                         trailer (saved by an older build?) and its run removed {} vertices at \
-                         id epoch {}, so engine ids no longer match the input file's original \
-                         ids — trailer-less resume supports churn-free runs only; churn after \
-                         the resume point is fine",
-                        sp.telemetry().vertices_removed,
-                        sp.id_epoch()
+                        "resume trailer maps original vertex {orig} to engine id {cur}, outside \
+                         the restored engine's {engine_n}-vertex id space — trailer and \
+                         snapshot disagree"
                     ));
                 }
-                (0, IdTracker::identity(sp.graph().num_vertices()))
             }
-        };
+        }
         if tracker.len() > n {
             return Err(format!(
                 "snapshot covers {} streamed vertices but the input graph has only {n} — wrong \
@@ -342,7 +318,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             sp.store().edge_locality() * 100.0,
             sp.max_imbalance() * 100.0
         );
-        (sp, batch_no, tracker)
+        (sp, state.batch_no as usize, tracker)
     } else {
         let n0 = ((n as f64 * bootstrap_fraction) as usize)
             .max(k)

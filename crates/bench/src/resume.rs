@@ -12,31 +12,26 @@
 //! snapshot in the same file, and the load path reads it back to restore
 //! the harness state exactly.
 //!
-//! Layout (everything little-endian), following the same self-describing
-//! + checksummed discipline as the snapshot and batch-log formats:
-//!
-//! | size | field                                      |
-//! |------|--------------------------------------------|
-//! | 8    | magic `b"MDBGPRPL"`                        |
-//! | 4    | trailer version (`u32`, currently 1)       |
-//! | 4    | payload length in bytes (`u32`)            |
-//! | 8    | FNV-1a 64 checksum of the payload (`u64`)  |
-//! | …    | payload                                    |
+//! Layout (everything little-endian): magic `b"MDBGPRPL"` (8 bytes) and
+//! the trailer version (`u32`, currently 1), then one frame of the shared
+//! codec ([`mdbgp_stream::codec`]) — the payload length (`u32`), its
+//! FNV-1a 64 checksum (`u64`), and the payload — the same frame a batch-log
+//! record uses.
 //!
 //! Payload: `arrived` (`u32`), `batch_no` (`u64`), map length (`u32`),
-//! then one `u32` per original id (`u32::MAX` = removed). A snapshot file
-//! without a trailer (written by an older build, or by a harness that
-//! is not a replay) reads as `Ok(None)` — the caller falls back to the
-//! legacy churn-free resume rules. Errors are `String`s in the CLI's
-//! error idiom; every corruption case (truncation, bad magic, version
-//! skew, checksum mismatch, a map that disagrees with `arrived`) names
-//! what was wrong and yields no partial state.
+//! then one `u32` per original id (`u32::MAX` = removed). Every snapshot
+//! file `mdbgp_cli stream --save-snapshot` writes carries a trailer, so a
+//! file that ends right after the engine snapshot is rejected by name
+//! like any other damage. Errors are `String`s in the CLI's error idiom;
+//! every corruption case (a missing trailer, truncation, bad magic,
+//! version skew, checksum mismatch, a map that disagrees with `arrived`)
+//! names what was wrong and yields no partial state.
 
-use std::io::Read;
-use std::io::Write;
+use std::io::{Read, Write};
 
 use mdbgp_graph::VertexId;
-use mdbgp_stream::snapshot::fnv1a;
+use mdbgp_stream::codec::{self, PayloadReader, PayloadWriter};
+use mdbgp_stream::SnapshotError;
 
 /// First 8 bytes of a resume trailer.
 pub const TRAILER_MAGIC: [u8; 8] = *b"MDBGPRPL";
@@ -59,113 +54,83 @@ pub struct ResumeState {
     pub map: Vec<VertexId>,
 }
 
+fn inconsistent(arrived: u32, map_len: usize) -> String {
+    format!(
+        "resume trailer is inconsistent: {arrived} arrived vertices but the id map tracks \
+         {map_len}"
+    )
+}
+
 /// Appends the trailer to `w` (call right after
 /// `StreamingPartitioner::save_snapshot` on the same writer).
 pub fn write_trailer<W: Write>(w: &mut W, state: &ResumeState) -> Result<(), String> {
     if state.map.len() != state.arrived as usize {
-        return Err(format!(
-            "resume trailer is inconsistent: {} arrived vertices but the id map tracks {}",
-            state.arrived,
-            state.map.len()
-        ));
+        return Err(inconsistent(state.arrived, state.map.len()));
     }
-    let mut payload = Vec::with_capacity(4 + 8 + 4 + state.map.len() * 4);
-    payload.extend_from_slice(&state.arrived.to_le_bytes());
-    payload.extend_from_slice(&state.batch_no.to_le_bytes());
-    payload.extend_from_slice(&(state.map.len() as u32).to_le_bytes());
+    let mut payload = PayloadWriter::default();
+    payload.put_u32(state.arrived);
+    payload.put_u64(state.batch_no);
+    payload.put_u32(state.map.len() as u32);
     for &cur in &state.map {
-        payload.extend_from_slice(&cur.to_le_bytes());
+        payload.put_u32(cur);
     }
     let err = |e: std::io::Error| format!("write resume trailer: {e}");
     w.write_all(&TRAILER_MAGIC).map_err(err)?;
     w.write_all(&TRAILER_VERSION.to_le_bytes()).map_err(err)?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())
-        .map_err(err)?;
-    w.write_all(&fnv1a(&payload).to_le_bytes()).map_err(err)?;
-    w.write_all(&payload).map_err(err)?;
-    w.flush().map_err(err)?;
+    codec::write_frame(w, &payload.buf, "trailer frame", "trailer payload")
+        .map_err(|e| format!("write resume trailer: {e}"))?;
     Ok(())
 }
 
-/// Reads the trailer that follows the engine snapshot on `r`.
-/// `Ok(None)` when the file simply ends there — a legacy snapshot with
-/// no trailer; every other irregularity is an error naming the problem.
-pub fn read_trailer<R: Read>(r: &mut R) -> Result<Option<ResumeState>, String> {
-    let mut header = [0u8; 8 + 4 + 4 + 8];
-    let mut filled = 0usize;
-    while filled < header.len() {
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None), // clean EOF: no trailer
-            Ok(0) => {
-                return Err(format!(
-                    "resume trailer truncated: header needs {} bytes, {filled} available",
-                    header.len()
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("read resume trailer header: {e}")),
-        }
+/// Reads the trailer that follows the engine snapshot on `r`. Every
+/// irregularity, a file that ends before the trailer included, is an
+/// error naming the problem.
+pub fn read_trailer<R: Read>(r: &mut R) -> Result<ResumeState, String> {
+    // The codec reports in the snapshot's terms; the trailer sits in the
+    // same file, after the engine snapshot.
+    let err = |e: SnapshotError| format!("resume trailer: {e}");
+    let mut header = [0u8; 12];
+    if !codec::read_exact(r, &mut header, "trailer header", true).map_err(err)? {
+        return Err("no resume trailer follows the engine snapshot".into());
     }
-    let magic: [u8; 8] = header[0..8].try_into().expect("8-byte slice");
+    let mut h = PayloadReader::new(&header);
+    let magic: [u8; 8] = h.get_array("trailer header").map_err(err)?;
     if magic != TRAILER_MAGIC {
         return Err(format!(
             "bytes after the engine snapshot are not a resume trailer (magic {magic:?})"
         ));
     }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4-byte slice"));
+    let version = h.get_u32("trailer header").map_err(err)?;
     if version != TRAILER_VERSION {
         return Err(format!(
             "unsupported resume-trailer version {version} (this build reads {TRAILER_VERSION})"
         ));
     }
-    let len = u32::from_le_bytes(header[12..16].try_into().expect("4-byte slice")) as usize;
-    let stored = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
-    // The declared length is untrusted: read up to it, report truncation.
-    let mut payload = Vec::new();
-    r.take(len as u64)
-        .read_to_end(&mut payload)
-        .map_err(|e| format!("read resume trailer payload: {e}"))?;
-    if payload.len() < len {
-        return Err(format!(
-            "resume trailer truncated: payload declares {len} bytes, {} available",
-            payload.len()
-        ));
-    }
-    let computed = fnv1a(&payload);
-    if computed != stored {
-        return Err(format!(
-            "resume trailer checksum mismatch: stored {stored:#018x}, bytes hash to \
-             {computed:#018x}"
-        ));
-    }
-    if payload.len() < 16 {
-        return Err("resume trailer payload too short for its fixed fields".into());
-    }
-    let arrived = u32::from_le_bytes(payload[0..4].try_into().expect("4-byte slice"));
-    let batch_no = u64::from_le_bytes(payload[4..12].try_into().expect("8-byte slice"));
-    let map_len = u32::from_le_bytes(payload[12..16].try_into().expect("4-byte slice")) as usize;
+    let payload = codec::read_frame(r, "trailer frame", "trailer payload")
+        .map_err(err)?
+        .ok_or("resume trailer truncated: its header is not followed by a frame")?;
+    let mut p = PayloadReader::new(&payload);
+    let arrived = p.get_u32("trailer arrived").map_err(err)?;
+    let batch_no = p.get_u64("trailer batch_no").map_err(err)?;
+    let map_len = p.get_u32("trailer id map length").map_err(err)? as usize;
     if map_len != arrived as usize {
-        return Err(format!(
-            "resume trailer is inconsistent: {arrived} arrived vertices but the id map tracks \
-             {map_len}"
-        ));
+        return Err(inconsistent(arrived, map_len));
     }
-    if payload.len() != 16 + map_len * 4 {
+    let map = (0..map_len)
+        .map(|_| p.get_u32("trailer id map"))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(err)?;
+    if !p.finished() {
         return Err(format!(
             "resume trailer payload is {} bytes but its id map declares {map_len} entries",
             payload.len()
         ));
     }
-    let map = payload[16..]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect();
-    Ok(Some(ResumeState {
+    Ok(ResumeState {
         arrived,
         batch_no,
         map,
-    }))
+    })
 }
 
 #[cfg(test)]
@@ -185,13 +150,49 @@ mod tests {
         let state = sample();
         let mut bytes = Vec::new();
         write_trailer(&mut bytes, &state).unwrap();
-        let back = read_trailer(&mut &bytes[..]).unwrap().unwrap();
+        let back = read_trailer(&mut &bytes[..]).unwrap();
         assert_eq!(back, state);
     }
 
     #[test]
-    fn missing_trailer_reads_as_none() {
-        assert_eq!(read_trailer(&mut &[][..]).unwrap(), None);
+    fn missing_trailer_is_a_named_error() {
+        let err = read_trailer(&mut &[][..]).unwrap_err();
+        assert!(err.contains("no resume trailer"), "{err}");
+    }
+
+    /// The exact bytes of [`sample`], pinned: magic, version,
+    /// then the codec frame (length 36, checksum) and the payload.
+    #[test]
+    fn trailer_bytes_are_pinned() {
+        let mut bytes = Vec::new();
+        write_trailer(&mut bytes, &sample()).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "4d4442475052504c01000000\
+             2400000042e7c20adaa24a80\
+             050000000c000000000000000500000000000000ffffffff0200000001000000ffffffff"
+        );
+    }
+
+    #[test]
+    fn every_flip_and_every_prefix_is_rejected() {
+        let mut bytes = Vec::new();
+        write_trailer(&mut bytes, &sample()).unwrap();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut broken = bytes.clone();
+                broken[at] ^= 1 << bit;
+                assert!(
+                    read_trailer(&mut &broken[..]).is_err(),
+                    "flip of bit {bit} at byte {at} read as a trailer"
+                );
+            }
+        }
+        for cut in 1..bytes.len() {
+            let err = read_trailer(&mut &bytes[..cut]).unwrap_err();
+            assert!(err.contains("truncated"), "prefix of {cut} bytes: {err}");
+        }
     }
 
     #[test]

@@ -145,8 +145,8 @@ fn kill_and_resume_after_forced_purge() {
 }
 
 #[test]
-fn trailer_less_snapshots_keep_the_legacy_guardrails() {
-    let dir = scratch_dir("legacy");
+fn trailer_less_snapshots_are_rejected_by_name() {
+    let dir = scratch_dir("no-trailer");
     let graph = dir.join("g.txt");
     let snap = dir.join("snap.bin");
 
@@ -163,8 +163,9 @@ fn trailer_less_snapshots_keep_the_legacy_guardrails() {
     ]);
     assert!(ok, "generate failed: {err}");
 
-    // Save a churn-free snapshot, then strip the trailer to simulate a
-    // file written by an older build.
+    // Save a churn-free snapshot, then strip the trailer: even an epoch-0
+    // run with no removals, whose engine ids still are the input ids,
+    // cannot resume without it.
     let (ok, stdout, err) = run(&[
         "stream",
         "--input",
@@ -188,7 +189,6 @@ fn trailer_less_snapshots_keep_the_legacy_guardrails() {
         .expect("trailer magic in snapshot file");
     std::fs::write(&snap, &bytes[..trailer_at]).expect("strip trailer");
 
-    // A churn-free epoch-0 legacy snapshot still resumes fine.
     let (ok, stdout, err) = run(&[
         "stream",
         "--input",
@@ -202,8 +202,9 @@ fn trailer_less_snapshots_keep_the_legacy_guardrails() {
         "--load-snapshot",
         snap.to_str().unwrap(),
     ]);
-    assert!(ok, "legacy resume failed: {err}\n{stdout}");
-    assert!(stdout.contains("resumed from"), "{stdout}");
+    assert!(!ok, "a trailer-less snapshot resumed:\n{stdout}");
+    assert!(!stdout.contains("resumed from"), "{stdout}");
+    assert!(err.contains("no resume trailer"), "{err}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

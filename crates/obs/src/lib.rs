@@ -121,6 +121,29 @@ impl Histogram {
         self.count
     }
 
+    /// Adds `other`'s observations to this histogram.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *b += o;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
+    /// The observations recorded since `earlier`, an older snapshot of the
+    /// same histogram. A max cannot be split, so the growth keeps this
+    /// histogram's max (merging it back therefore stays exact).
+    pub fn since(&self, earlier: &Histogram) -> Histogram {
+        let mut grown = self.clone();
+        for (b, e) in grown.buckets.iter_mut().zip(earlier.buckets.iter()) {
+            *b = b.saturating_sub(*e);
+        }
+        grown.count = self.count.saturating_sub(earlier.count);
+        grown.sum = self.sum.saturating_sub(earlier.sum);
+        grown
+    }
+
     pub fn sum(&self) -> u64 {
         self.sum
     }
@@ -169,7 +192,9 @@ impl Histogram {
 /// [`MetricsRegistry`] stays lock-free on its owner's side.
 ///
 /// [`Self::snapshot`] materializes a plain [`Histogram`] for
-/// [`MetricsRegistry::histogram_set`]. The snapshot is not a linearizable
+/// [`MetricsRegistry::histogram_set`] or, as growth since an earlier
+/// snapshot ([`Histogram::since`]), [`MetricsRegistry::histogram_add`].
+/// The snapshot is not a linearizable
 /// cut under concurrent writes — bucket counts, sum and max are read
 /// independently — but each is monotone, and `count` is derived from the
 /// bucket sum so the quantile walk is always internally consistent (the
@@ -221,7 +246,8 @@ impl SharedHistogram {
     }
 
     /// Materializes the current state as a plain [`Histogram`], suitable
-    /// for [`MetricsRegistry::histogram_set`].
+    /// for [`MetricsRegistry::histogram_set`] /
+    /// [`MetricsRegistry::histogram_add`].
     pub fn snapshot(&self) -> Histogram {
         use std::sync::atomic::Ordering::Relaxed;
         // Max before buckets: if a racing observe lands between the two
@@ -486,7 +512,9 @@ impl MetricsRegistry {
     }
 
     /// Sets a counter to an absolute value — for mirroring an externally
-    /// maintained monotonic count (e.g. the store's lookup counter).
+    /// maintained level (e.g. the store's live-vertex count). Mirror a
+    /// monotone external count by adding its growth since the last sync
+    /// instead, so values folded in by [`Self::carry_over`] are kept.
     pub fn counter_set(&mut self, name: &str, value: u64) {
         if !self.enabled {
             return;
@@ -521,13 +549,29 @@ impl MetricsRegistry {
     /// the histogram analogue of [`Self::counter_set`], used to mirror a
     /// [`SharedHistogram`] recorded outside the registry (e.g. by serving
     /// threads) into the single-threaded dump. The source is authoritative:
-    /// call with `shared.snapshot()` at sync points.
+    /// call with `shared.snapshot()` at sync points. To keep values folded
+    /// in by [`Self::carry_over`], add the growth with
+    /// [`Self::histogram_add`] instead.
     pub fn histogram_set(&mut self, name: &str, value: &Histogram) {
         if !self.enabled {
             return;
         }
         match self.entry(name, || MetricValue::Histogram(Box::default())) {
             MetricValue::Histogram(h) => **h = value.clone(),
+            _ => panic!("metric {name:?} is not a histogram"),
+        }
+    }
+
+    /// Merges `value`'s observations into histogram `name` — for
+    /// mirroring the growth of an externally maintained histogram
+    /// ([`Histogram::since`] the last sync) so values folded in by
+    /// [`Self::carry_over`] are kept.
+    pub fn histogram_add(&mut self, name: &str, value: &Histogram) {
+        if !self.enabled {
+            return;
+        }
+        match self.entry(name, || MetricValue::Histogram(Box::default())) {
+            MetricValue::Histogram(h) => h.merge(value),
             _ => panic!("metric {name:?} is not a histogram"),
         }
     }
@@ -605,14 +649,7 @@ impl MetricsRegistry {
                 }
                 (Some(MetricValue::Counter(c)), MetricValue::Counter(e)) => *c += e,
                 (Some(MetricValue::Gauge(_)), MetricValue::Gauge(_)) => {}
-                (Some(MetricValue::Histogram(h)), MetricValue::Histogram(e)) => {
-                    for (b, eb) in h.buckets.iter_mut().zip(e.buckets.iter()) {
-                        *b += eb;
-                    }
-                    h.count += e.count;
-                    h.sum = h.sum.saturating_add(e.sum);
-                    h.max = h.max.max(e.max);
-                }
+                (Some(MetricValue::Histogram(h)), MetricValue::Histogram(e)) => h.merge(e),
                 _ => panic!("metric {name:?} changed kind between registries"),
             }
         }
@@ -1352,5 +1389,27 @@ mod tests {
         let s = r.summary("stream.store.lookup_us").unwrap();
         assert_eq!(s.count, 3);
         assert_eq!(s.max, 9000);
+    }
+
+    #[test]
+    fn histogram_growth_adds_onto_carried_values() {
+        let mut earlier = MetricsRegistry::new();
+        earlier.observe("h", 7);
+        let shared = SharedHistogram::new();
+        shared.observe(10);
+        let first = shared.snapshot();
+        let mut r = MetricsRegistry::new();
+        r.histogram_add("h", &first.since(&Histogram::default()));
+        r.carry_over(&earlier);
+        shared.observe(500);
+        shared.observe(3);
+        r.histogram_add("h", &shared.snapshot().since(&first));
+        let s = r.summary("h").unwrap();
+        assert_eq!((s.count, s.sum, s.max), (4, 520, 500));
+        let mut whole = Histogram::default();
+        for v in [7, 10, 500, 3] {
+            whole.observe(v);
+        }
+        assert_eq!(s, whole.summary());
     }
 }

@@ -944,7 +944,7 @@ impl DynamicGraph {
     /// restored graph recycles the same ids in the same LIFO order as the
     /// saver would have), and the weight rows with their live totals —
     /// into a snapshot payload.
-    pub(crate) fn encode_snapshot(&self, w: &mut crate::snapshot::PayloadWriter) {
+    pub(crate) fn encode_snapshot(&self, w: &mut crate::codec::PayloadWriter) {
         debug_assert!(
             self.pending.is_empty() && !self.deferred,
             "snapshot while a deferred batch is open"
@@ -978,7 +978,7 @@ impl DynamicGraph {
     /// checked, because the alternative is an index panic deep inside the
     /// serving path.
     pub(crate) fn decode_snapshot(
-        r: &mut crate::snapshot::PayloadReader,
+        r: &mut crate::codec::PayloadReader,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let corrupt = |why: String| SnapshotError::Corrupt(why);

@@ -62,7 +62,7 @@ use crate::store::PartitionStore;
 use crate::TOMBSTONE;
 use mdbgp_core::{parallel, GdConfig, GdPartitioner, GdWorkspace, PairOutcome};
 use mdbgp_graph::{Graph, Partition, PartitionError, Partitioner, VertexId, VertexWeights};
-use mdbgp_obs::{MetricsRegistry, SpanNode, SpanTree};
+use mdbgp_obs::{Histogram, MetricsRegistry, SpanNode, SpanTree};
 use std::time::Instant;
 
 /// Every metric name the engine records — the registry allowlist that
@@ -361,6 +361,8 @@ pub struct StreamingPartitioner {
     /// engine immediately journals a `snapshot.restore` event, so dumps
     /// are self-describing about the reset).
     obs: MetricsRegistry,
+    /// The store's monotone counters as of the last mirror into `obs`.
+    mirrored: StoreCounters,
     /// Per-worker GD iterate storage, reused across every pair of every
     /// disjoint refine round and across batches (grown on demand to the
     /// round's worker count). Pure scratch — **not** serialized into
@@ -427,6 +429,7 @@ impl StreamingPartitioner {
             refine_seed,
             id_epoch: 0,
             obs: MetricsRegistry::new(),
+            mirrored: StoreCounters::default(),
             workspaces: Vec::new(),
         })
     }
@@ -455,6 +458,7 @@ impl StreamingPartitioner {
             refine_seed,
             id_epoch: 0,
             obs: MetricsRegistry::new(),
+            mirrored: StoreCounters::default(),
             workspaces: Vec::new(),
         })
     }
@@ -498,25 +502,38 @@ impl StreamingPartitioner {
     }
 
     /// Pulls the externally-maintained monotone counters (store) and the
-    /// live balance gauges into the registry so dumps are current.
+    /// live balance gauges into the registry so dumps are current. The
+    /// monotone mirrors grow by what the store counted since the last
+    /// sync, so values an earlier engine's registry brought in through
+    /// [`MetricsRegistry::carry_over`] are kept; the live-vertex count is
+    /// a level and is set.
     fn sync_store_metrics(&mut self) {
         if !self.obs.enabled() {
             return;
         }
+        let now = StoreCounters {
+            lookups: self.store.lookup_count(),
+            view_swaps: self.store.view_swap_count(),
+            stale_epoch_reads: self.store.stale_epoch_read_count(),
+            heap_pops: self.store.heap_pop_count(),
+            lookup_us: self.store.lookup_latency(),
+        };
+        let last = std::mem::replace(&mut self.mirrored, now);
+        let now = &self.mirrored;
         self.obs
-            .counter_set("stream.store.lookups", self.store.lookup_count());
+            .counter_add("stream.store.lookups", now.lookups - last.lookups);
         self.obs
-            .counter_set("stream.store.view_swaps", self.store.view_swap_count());
-        self.obs.counter_set(
+            .counter_add("stream.store.view_swaps", now.view_swaps - last.view_swaps);
+        self.obs.counter_add(
             "stream.store.stale_epoch_reads",
-            self.store.stale_epoch_read_count(),
+            now.stale_epoch_reads - last.stale_epoch_reads,
         );
-        let lookup_us = self.store.lookup_latency();
+        let lookup_us = now.lookup_us.since(&last.lookup_us);
         if lookup_us.count() > 0 {
-            self.obs.histogram_set("stream.store.lookup_us", &lookup_us);
+            self.obs.histogram_add("stream.store.lookup_us", &lookup_us);
         }
         self.obs
-            .counter_set("stream.store.heap_pops", self.store.heap_pop_count());
+            .counter_add("stream.store.heap_pops", now.heap_pops - last.heap_pops);
         self.obs.counter_set(
             "stream.store.live_vertices",
             self.store.num_assigned() as u64,
@@ -622,22 +639,22 @@ impl StreamingPartitioner {
         &mut self,
         w: &mut W,
     ) -> Result<crate::SnapshotInfo, crate::SnapshotError> {
-        use crate::snapshot::{self, PayloadWriter};
+        use crate::{codec::PayloadWriter, snapshot};
         self.store.rebuild_heaps(self.graph.weights());
-        let mut pw = PayloadWriter::new();
+        let mut pw = PayloadWriter::default();
         // The id epoch is echoed as the payload's first bytes: the header
         // copy (used for cheap pre-parse expectation checks) is outside
         // the checksum, so restore cross-validates it against this
         // checksummed copy — a corrupted header epoch cannot slip an
         // engine into the wrong id space.
         pw.put_u64(self.id_epoch);
-        pw.put_section(snapshot::SEC_CONFIG);
+        pw.put_u8(snapshot::SEC_CONFIG);
         snapshot::encode_config(&mut pw, &self.cfg);
-        pw.put_section(snapshot::SEC_GRAPH);
+        pw.put_u8(snapshot::SEC_GRAPH);
         self.graph.encode_snapshot(&mut pw);
-        pw.put_section(snapshot::SEC_STORE);
+        pw.put_u8(snapshot::SEC_STORE);
         self.store.encode_snapshot(&mut pw);
-        pw.put_section(snapshot::SEC_ENGINE);
+        pw.put_u8(snapshot::SEC_ENGINE);
         pw.put_vec_bool(&self.dirty);
         pw.put_bool(self.pending_remap.is_some());
         if let Some(map) = &self.pending_remap {
@@ -646,7 +663,7 @@ impl StreamingPartitioner {
         encode_telemetry(&mut pw, &self.telemetry);
         pw.put_usize(self.batches_since_refine);
         pw.put_u64(self.refine_seed);
-        pw.put_section(snapshot::SEC_END);
+        pw.put_u8(snapshot::SEC_END);
         let info = snapshot::write_snapshot(
             w,
             self.id_epoch,
@@ -696,7 +713,7 @@ impl StreamingPartitioner {
         r: R,
         expect: &crate::SnapshotExpectation,
     ) -> Result<Self, crate::SnapshotError> {
-        use crate::snapshot::{self, PayloadReader, SnapshotError};
+        use crate::{codec::PayloadReader, snapshot, snapshot::SnapshotError};
         let (info, payload) = snapshot::read_snapshot(r)?;
         expect.check(&info)?;
         let mut pr = PayloadReader::new(&payload);
@@ -797,6 +814,7 @@ impl StreamingPartitioner {
             refine_seed,
             id_epoch: info.id_epoch,
             obs,
+            mirrored: StoreCounters::default(),
             workspaces: Vec::new(),
         };
         // Restore publishes view #0 of this process: readers attaching to
@@ -1934,7 +1952,18 @@ impl StreamingPartitioner {
     }
 }
 
-fn encode_telemetry(w: &mut crate::snapshot::PayloadWriter, t: &StreamTelemetry) {
+/// The store's monotone counters at one moment (see
+/// `StreamingPartitioner::sync_store_metrics`).
+#[derive(Default)]
+struct StoreCounters {
+    lookups: u64,
+    view_swaps: u64,
+    stale_epoch_reads: u64,
+    heap_pops: u64,
+    lookup_us: Histogram,
+}
+
+fn encode_telemetry(w: &mut crate::codec::PayloadWriter, t: &StreamTelemetry) {
     for count in [
         t.batches,
         t.vertices_placed,
@@ -1957,7 +1986,7 @@ fn encode_telemetry(w: &mut crate::snapshot::PayloadWriter, t: &StreamTelemetry)
 }
 
 fn decode_telemetry(
-    r: &mut crate::snapshot::PayloadReader,
+    r: &mut crate::codec::PayloadReader,
 ) -> Result<StreamTelemetry, crate::SnapshotError> {
     Ok(StreamTelemetry {
         batches: r.get_usize("telemetry.batches")?,

@@ -136,6 +136,10 @@
 //! Snapshots may be taken mid-churn: tombstoned-but-unpurged vertices,
 //! their capacity releases and the pending free list are carried verbatim,
 //! so id recycling after restore matches the uninterrupted run exactly.
+//! The snapshot, the replication log ([`wire`]) and the CLI's resume
+//! trailer share one byte codec ([`codec`]): FNV-1a checksums, declared
+//! lengths that only bound incremental reads, and named truncation at any
+//! byte.
 //!
 //! ## Replication
 //!
@@ -223,13 +227,19 @@
 //!   every call. The registry is **not** serialized into snapshots:
 //!   counters restart on restore and the restored engine journals a
 //!   `snapshot.restore` event, so dumps are self-describing about the
-//!   reset.
+//!   reset. A harness that wants one account across the restore folds the
+//!   discarded engine's registry in with
+//!   [`mdbgp_obs::MetricsRegistry::carry_over`]; the store-mirrored
+//!   counters below survive that, because each sync adds what the store
+//!   counted since the previous one instead of overwriting (the restored
+//!   engine's own view #0 publication counts as one more view swap).
 //!
 //! The serving read path reports through the same registry: reader
 //! handles tick shared atomic counters (`stream.store.lookups`,
 //! `stream.store.stale_epoch_reads`) and a lock-free latency histogram
 //! (`stream.store.lookup_us`) that the engine mirrors into the registry
-//! at sync points; `stream.store.view_swaps` counts view publications.
+//! at sync points, adding the growth since the previous sync;
+//! `stream.store.view_swaps` counts view publications.
 //! The `stream_serve` bench gates `lookup_p99_us` against a committed
 //! baseline in CI (see `docs/BENCHMARKS.md`).
 //!
@@ -285,6 +295,7 @@
 //! }
 //! ```
 
+pub mod codec;
 pub mod delta;
 pub mod dynamic;
 pub mod engine;

@@ -30,8 +30,9 @@
 //!    round — falls back to the original serial re-placement loop, whose
 //!    never-evict-twice rule guarantees termination;
 //! 5. **commit** — assignments land in the [`PartitionStore`]
-//!    (`push_assignment` / `assign_slot` / `push_tombstone`) and the
-//!    deferred ledger settles against the now-final parts;
+//!    (`push_assignment_collect` / `assign_slot_collect` staging their
+//!    heap pushes for a parallel `apply_heap_entries`, `push_tombstone`)
+//!    and the deferred ledger settles against the now-final parts;
 //! 6. **refine** — compaction, the drift check and (when triggered) the
 //!    rebalance + warm-started pairwise GD pass, unchanged.
 //!

@@ -35,11 +35,13 @@
 //! router can [`read_info`] them without parsing (or trusting) the body,
 //! and so mismatch rejection happens before any state is built. The
 //! header itself is *outside* the checksum, so none of its fields are
-//! trusted beyond routing: the payload length only bounds an incremental
-//! read (a corrupt length reports truncation, never a huge allocation),
-//! `k`/`d` are re-validated against the payload's config/store/weights
-//! sections, and the id epoch is cross-checked against the checksummed
-//! echo at the start of the payload.
+//! trusted beyond routing: the payload length and checksum follow the
+//! shared framing rule of [`crate::codec`] (the length only bounds an
+//! incremental read, so a corrupt length reports truncation, never a huge
+//! allocation), `k`/`d` are re-validated against the payload's
+//! config/store/weights sections, and the id epoch is cross-checked
+//! against the checksummed echo at the start of the payload. The payload
+//! is written and read with the codec's `PayloadWriter`/`PayloadReader`.
 //!
 //! ## What is serialized vs. rebuilt
 //!
@@ -94,6 +96,7 @@
 use mdbgp_core::{GdConfig, NoiseSchedule, ProjectionMethod, StepSchedule};
 use std::io::{Read, Write};
 
+use crate::codec::{self, PayloadReader, PayloadWriter};
 use crate::engine::StreamConfig;
 
 /// First 8 bytes of every snapshot.
@@ -307,77 +310,36 @@ impl SnapshotExpectation {
     }
 }
 
-/// FNV-1a 64-bit — tiny, dependency-free, and plenty for the integrity
-/// check this format needs (any accidental byte flip changes the hash).
-/// Public so harness-side formats framed alongside a snapshot (the CLI's
-/// resume trailer) checksum with the same function.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Reads only the header: identity, version, epoch, shape — without
 /// touching the payload.
 pub fn read_info<R: Read>(mut r: R) -> Result<SnapshotInfo, SnapshotError> {
-    let mut header = [0u8; SNAPSHOT_HEADER_BYTES];
-    read_exact_or_truncated(&mut r, &mut header, "header")?;
-    parse_header(&header)
+    Ok(read_header(&mut r)?.0)
 }
 
-fn parse_header(header: &[u8; SNAPSHOT_HEADER_BYTES]) -> Result<SnapshotInfo, SnapshotError> {
-    // The `try_into().unwrap()`s below are invariants, not I/O: each
-    // subslice has a compile-time-constant length taken from an array of
-    // fixed size, so the conversions cannot fail whatever bytes arrived.
-    let magic: [u8; 8] = header[0..8].try_into().unwrap();
+/// Reads the header: its routing fields and the payload checksum.
+fn read_header<R: Read>(r: &mut R) -> Result<(SnapshotInfo, u64), SnapshotError> {
+    let mut header = [0u8; SNAPSHOT_HEADER_BYTES];
+    codec::read_exact(r, &mut header, "header", false)?;
+    let mut h = PayloadReader::new(&header);
+    let magic = h.get_array("header")?;
     if magic != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic { found: magic });
     }
-    let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
+    let version = h.get_u32("header")?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
         });
     }
-    Ok(SnapshotInfo {
+    let info = SnapshotInfo {
         format_version: version,
-        id_epoch: u64::from_le_bytes(header[12..20].try_into().unwrap()),
-        k: u32::from_le_bytes(header[20..24].try_into().unwrap()) as usize,
-        dims: u32::from_le_bytes(header[24..28].try_into().unwrap()) as usize,
-        payload_bytes: u64::from_le_bytes(header[28..36].try_into().unwrap()) as usize,
-    })
-}
-
-fn header_checksum(header: &[u8; SNAPSHOT_HEADER_BYTES]) -> u64 {
-    // Invariant: an 8-byte subslice of a fixed-size array — cannot fail.
-    u64::from_le_bytes(header[36..44].try_into().unwrap())
-}
-
-fn read_exact_or_truncated<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    context: &'static str,
-) -> Result<(), SnapshotError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(SnapshotError::Truncated {
-                    context,
-                    needed: buf.len(),
-                    available: filled,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(SnapshotError::io(context, e)),
-        }
-    }
-    Ok(())
+        id_epoch: h.get_u64("header")?,
+        k: h.get_u32("header")? as usize,
+        dims: h.get_u32("header")? as usize,
+        payload_bytes: h.get_u64("header")? as usize,
+    };
+    Ok((info, h.get_u64("header")?))
 }
 
 /// Frames and writes one snapshot: header (with the payload's checksum)
@@ -389,66 +351,38 @@ pub(crate) fn write_snapshot<W: Write>(
     dims: usize,
     payload: &[u8],
 ) -> Result<SnapshotInfo, SnapshotError> {
-    let info = SnapshotInfo {
+    let mut header = PayloadWriter::default();
+    header.put_bytes(&SNAPSHOT_MAGIC);
+    header.put_u32(SNAPSHOT_VERSION);
+    header.put_u64(id_epoch);
+    header.put_u32(k as u32);
+    header.put_u32(dims as u32);
+    header.put_u64(payload.len() as u64);
+    header.put_u64(codec::fnv1a(payload));
+    w.write_all(&header.buf)
+        .map_err(|e| SnapshotError::io("header", e))?;
+    w.write_all(payload)
+        .and_then(|()| w.flush())
+        .map_err(|e| SnapshotError::io("payload", e))?;
+    Ok(SnapshotInfo {
         format_version: SNAPSHOT_VERSION,
         id_epoch,
         k,
         dims,
         payload_bytes: payload.len(),
-    };
-    let hdr = |e| SnapshotError::io("header", e);
-    w.write_all(&SNAPSHOT_MAGIC).map_err(hdr)?;
-    w.write_all(&SNAPSHOT_VERSION.to_le_bytes()).map_err(hdr)?;
-    w.write_all(&id_epoch.to_le_bytes()).map_err(hdr)?;
-    w.write_all(&(k as u32).to_le_bytes()).map_err(hdr)?;
-    w.write_all(&(dims as u32).to_le_bytes()).map_err(hdr)?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())
-        .map_err(hdr)?;
-    w.write_all(&fnv1a(payload).to_le_bytes()).map_err(hdr)?;
-    w.write_all(payload)
-        .map_err(|e| SnapshotError::io("payload", e))?;
-    w.flush().map_err(|e| SnapshotError::io("payload", e))?;
-    Ok(info)
+    })
 }
 
-/// Reads and integrity-checks one snapshot: header parse, exact-length
-/// payload read (a short file is [`SnapshotError::Truncated`], not EOF),
-/// checksum verification.
-///
-/// The payload length comes from the header, which the checksum does
-/// **not** cover — so it is never trusted for an up-front allocation: the
-/// payload is read incrementally up to the declared length, and the
-/// buffer only ever grows to what the stream actually holds. A corrupt
-/// length therefore reports [`SnapshotError::Truncated`] (or a checksum
-/// mismatch) instead of aborting the process on a multi-exabyte
-/// allocation.
+/// Reads and integrity-checks one snapshot: header parse, then the
+/// payload through [`codec::read_checked`] — the header's length is
+/// outside the checksum, so it only bounds an incremental read (a short
+/// file or a corrupt length is [`SnapshotError::Truncated`], never a huge
+/// allocation) — and the checksum verified before any field is parsed.
 pub(crate) fn read_snapshot<R: Read>(mut r: R) -> Result<(SnapshotInfo, Vec<u8>), SnapshotError> {
-    let mut header = [0u8; SNAPSHOT_HEADER_BYTES];
-    read_exact_or_truncated(&mut r, &mut header, "header")?;
-    let info = parse_header(&header)?;
-    let stored = header_checksum(&header);
-    let mut payload = Vec::new();
-    (&mut r)
-        .take(info.payload_bytes as u64)
-        .read_to_end(&mut payload)
-        .map_err(|e| SnapshotError::io("payload", e))?;
-    if payload.len() < info.payload_bytes {
-        return Err(SnapshotError::Truncated {
-            context: "payload",
-            needed: info.payload_bytes,
-            available: payload.len(),
-        });
-    }
-    let computed = fnv1a(&payload);
-    if computed != stored {
-        return Err(SnapshotError::ChecksumMismatch { stored, computed });
-    }
+    let (info, stored) = read_header(&mut r)?;
+    let payload = codec::read_checked(&mut r, info.payload_bytes, stored, "payload")?;
     Ok((info, payload))
 }
-
-// ---------------------------------------------------------------------
-// Payload primitives
-// ---------------------------------------------------------------------
 
 /// Section tags: cheap structural markers inside the payload so a parse
 /// that drifts out of sync fails loudly at the next boundary instead of
@@ -458,201 +392,6 @@ pub(crate) const SEC_GRAPH: u8 = 2;
 pub(crate) const SEC_STORE: u8 = 3;
 pub(crate) const SEC_ENGINE: u8 = 4;
 pub(crate) const SEC_END: u8 = 0xFE;
-
-/// Append-only payload encoder (little-endian scalars, length-prefixed
-/// sequences).
-#[derive(Default)]
-pub(crate) struct PayloadWriter {
-    pub(crate) buf: Vec<u8>,
-}
-
-impl PayloadWriter {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    pub(crate) fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    pub(crate) fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
-    pub(crate) fn put_section(&mut self, tag: u8) {
-        self.put_u8(tag);
-    }
-
-    pub(crate) fn put_vec_u32(&mut self, v: &[u32]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_u32(x);
-        }
-    }
-
-    pub(crate) fn put_vec_usize(&mut self, v: &[usize]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_usize(x);
-        }
-    }
-
-    pub(crate) fn put_vec_f64(&mut self, v: &[f64]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_f64(x);
-        }
-    }
-
-    pub(crate) fn put_vec_bool(&mut self, v: &[bool]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_bool(x);
-        }
-    }
-}
-
-/// Bounds-checked payload decoder; every overrun is a named
-/// [`SnapshotError::Truncated`], never a panic.
-pub(crate) struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Whether every payload byte was consumed (trailing garbage would
-    /// mean the parse and the writer disagree about the format).
-    pub(crate) fn finished(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], SnapshotError> {
-        if self.buf.len() - self.pos < n {
-            return Err(SnapshotError::Truncated {
-                context,
-                needed: n,
-                available: self.buf.len() - self.pos,
-            });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    pub(crate) fn get_u8(&mut self, context: &'static str) -> Result<u8, SnapshotError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    pub(crate) fn get_u32(&mut self, context: &'static str) -> Result<u32, SnapshotError> {
-        // Invariant: `take(4, ..)` either errors or yields exactly 4
-        // bytes, so the array conversion cannot fail (same for u64).
-        Ok(u32::from_le_bytes(
-            self.take(4, context)?.try_into().unwrap(),
-        ))
-    }
-
-    pub(crate) fn get_u64(&mut self, context: &'static str) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, context)?.try_into().unwrap(),
-        ))
-    }
-
-    pub(crate) fn get_usize(&mut self, context: &'static str) -> Result<usize, SnapshotError> {
-        let v = self.get_u64(context)?;
-        usize::try_from(v)
-            .map_err(|_| SnapshotError::Corrupt(format!("{context}: length {v} overflows usize")))
-    }
-
-    /// A length prefix that will be multiplied by a per-item byte size:
-    /// bounded by the remaining payload so a corrupt length cannot ask for
-    /// an absurd allocation before the element reads fail.
-    fn get_len(
-        &mut self,
-        item_bytes: usize,
-        context: &'static str,
-    ) -> Result<usize, SnapshotError> {
-        let len = self.get_usize(context)?;
-        let available = (self.buf.len() - self.pos) / item_bytes.max(1);
-        if len > available {
-            return Err(SnapshotError::Truncated {
-                context,
-                needed: len * item_bytes,
-                available: self.buf.len() - self.pos,
-            });
-        }
-        Ok(len)
-    }
-
-    pub(crate) fn get_f64(&mut self, context: &'static str) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.get_u64(context)?))
-    }
-
-    pub(crate) fn get_bool(&mut self, context: &'static str) -> Result<bool, SnapshotError> {
-        match self.get_u8(context)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(SnapshotError::Corrupt(format!(
-                "{context}: boolean byte is {other}"
-            ))),
-        }
-    }
-
-    pub(crate) fn expect_section(&mut self, tag: u8) -> Result<(), SnapshotError> {
-        let found = self.get_u8("section tag")?;
-        if found != tag {
-            return Err(SnapshotError::Corrupt(format!(
-                "expected section tag {tag:#04x}, found {found:#04x}"
-            )));
-        }
-        Ok(())
-    }
-
-    pub(crate) fn get_vec_u32(&mut self, context: &'static str) -> Result<Vec<u32>, SnapshotError> {
-        let len = self.get_len(4, context)?;
-        (0..len).map(|_| self.get_u32(context)).collect()
-    }
-
-    pub(crate) fn get_vec_usize(
-        &mut self,
-        context: &'static str,
-    ) -> Result<Vec<usize>, SnapshotError> {
-        let len = self.get_len(8, context)?;
-        (0..len).map(|_| self.get_usize(context)).collect()
-    }
-
-    pub(crate) fn get_vec_f64(&mut self, context: &'static str) -> Result<Vec<f64>, SnapshotError> {
-        let len = self.get_len(8, context)?;
-        (0..len).map(|_| self.get_f64(context)).collect()
-    }
-
-    pub(crate) fn get_vec_bool(
-        &mut self,
-        context: &'static str,
-    ) -> Result<Vec<bool>, SnapshotError> {
-        let len = self.get_len(1, context)?;
-        (0..len).map(|_| self.get_bool(context)).collect()
-    }
-}
 
 // ---------------------------------------------------------------------
 // Configuration encoding
@@ -688,6 +427,15 @@ pub(crate) fn decode_config(r: &mut PayloadReader) -> Result<StreamConfig, Snaps
     })
 }
 
+/// Projection methods in tag order. The order is part of the format:
+/// reordering is a version bump.
+const PROJECTIONS: [ProjectionMethod; 4] = [
+    ProjectionMethod::OneShotAlternating,
+    ProjectionMethod::AlternatingConverged,
+    ProjectionMethod::Dykstra,
+    ProjectionMethod::Exact,
+];
+
 fn encode_gd_config(w: &mut PayloadWriter, gd: &GdConfig) {
     w.put_f64(gd.epsilon);
     w.put_usize(gd.iterations);
@@ -701,12 +449,9 @@ fn encode_gd_config(w: &mut PayloadWriter, gd: &GdConfig) {
             w.put_f64(factor);
         }
     }
-    w.put_u8(match gd.projection {
-        ProjectionMethod::OneShotAlternating => 0,
-        ProjectionMethod::AlternatingConverged => 1,
-        ProjectionMethod::Dykstra => 2,
-        ProjectionMethod::Exact => 3,
-    });
+    // Invariant: `PROJECTIONS` lists every method.
+    let tag = PROJECTIONS.iter().position(|&p| p == gd.projection);
+    w.put_u8(tag.unwrap() as u8);
     w.put_f64(gd.noise.initial_std);
     w.put_f64(gd.noise.later_std);
     w.put_bool(gd.fixing_threshold.is_some());
@@ -735,17 +480,10 @@ fn decode_gd_config(r: &mut PayloadReader) -> Result<GdConfig, SnapshotError> {
             )))
         }
     };
-    let projection = match r.get_u8("gd.projection tag")? {
-        0 => ProjectionMethod::OneShotAlternating,
-        1 => ProjectionMethod::AlternatingConverged,
-        2 => ProjectionMethod::Dykstra,
-        3 => ProjectionMethod::Exact,
-        other => {
-            return Err(SnapshotError::Corrupt(format!(
-                "unknown projection-method tag {other}"
-            )))
-        }
-    };
+    let tag = r.get_u8("gd.projection tag")?;
+    let projection = *PROJECTIONS
+        .get(tag as usize)
+        .ok_or_else(|| SnapshotError::Corrupt(format!("unknown projection-method tag {tag}")))?;
     let noise = NoiseSchedule {
         initial_std: r.get_f64("gd.noise.initial_std")?,
         later_std: r.get_f64("gd.noise.later_std")?,
@@ -771,10 +509,11 @@ fn decode_gd_config(r: &mut PayloadReader) -> Result<GdConfig, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{PayloadReader, PayloadWriter};
 
     #[test]
     fn payload_primitives_round_trip() {
-        let mut w = PayloadWriter::new();
+        let mut w = PayloadWriter::default();
         w.put_u8(7);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
@@ -801,12 +540,12 @@ mod tests {
 
     #[test]
     fn reader_overruns_are_truncation_errors() {
-        let mut w = PayloadWriter::new();
+        let mut w = PayloadWriter::default();
         w.put_u32(5);
         let mut r = PayloadReader::new(&w.buf);
         assert!(r.get_u64("too big").is_err());
         // A corrupt length prefix cannot demand more than the payload has.
-        let mut w = PayloadWriter::new();
+        let mut w = PayloadWriter::default();
         w.put_usize(1_000_000); // claims a million u32s follow
         w.put_u32(1);
         let mut r = PayloadReader::new(&w.buf);
@@ -881,6 +620,24 @@ mod tests {
         ));
     }
 
+    /// The exact header bytes written for a fixed payload, pinned.
+    #[test]
+    fn header_bytes_are_pinned() {
+        let payload = b"hello snapshot payload";
+        let mut bytes = Vec::new();
+        write_snapshot(&mut bytes, 3, 8, 2, payload).unwrap();
+        let hex: String = bytes[..SNAPSHOT_HEADER_BYTES]
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "4d44424750534e5002000000030000000000000008000000\
+             0200000016000000000000009390bb53129a74b4"
+        );
+        assert_eq!(&bytes[SNAPSHOT_HEADER_BYTES..], payload);
+    }
+
     #[test]
     fn io_errors_name_their_context() {
         struct FailingReader;
@@ -946,7 +703,7 @@ mod tests {
         cfg.refine_every = 3;
         cfg.threads = 4;
         cfg.seed = 1234567;
-        let mut w = PayloadWriter::new();
+        let mut w = PayloadWriter::default();
         encode_config(&mut w, &cfg);
         let mut r = PayloadReader::new(&w.buf);
         let back = decode_config(&mut r).unwrap();
@@ -964,7 +721,7 @@ mod tests {
         cfg.gd.step = StepSchedule::FixedLength { factor: 2.0 };
         cfg.gd.projection = ProjectionMethod::Exact;
         cfg.gd.fixing_threshold = Some(0.99);
-        let mut w = PayloadWriter::new();
+        let mut w = PayloadWriter::default();
         encode_config(&mut w, &cfg);
         let back = decode_config(&mut PayloadReader::new(&w.buf)).unwrap();
         assert_eq!(back.gd.step, cfg.gd.step);
@@ -972,7 +729,7 @@ mod tests {
         assert_eq!(back.gd.fixing_threshold, Some(0.99));
 
         // An unknown enum tag is Corrupt, not a panic.
-        let mut w = PayloadWriter::new();
+        let mut w = PayloadWriter::default();
         encode_config(&mut w, &cfg);
         // step tag sits after k(8) + epsilon(8) + 4 usizes/f64s... locate
         // it by re-encoding with a poisoned byte: the tag is the first u8

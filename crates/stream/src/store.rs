@@ -22,8 +22,10 @@
 //! [`LoadSnapshot`] ([`PartitionStore::load_snapshot`]), scores
 //! speculative placements against `snapshot + reservations` on worker
 //! threads, repairs capacity conflicts, and only then commits the final
-//! assignments — [`PartitionStore::push_assignment`] for a fresh id,
-//! [`PartitionStore::assign_slot`] for a recycled one, and
+//! assignments — [`PartitionStore::push_assignment_collect`] for a fresh
+//! id, [`PartitionStore::assign_slot_collect`] for a recycled one (both
+//! stage their rebalance-heap pushes in a [`HeapSink`] that
+//! [`PartitionStore::apply_heap_entries`] drains in parallel), and
 //! [`PartitionStore::push_tombstone`] for an arrival that was removed
 //! again inside its own batch (the slot must still exist so store ids stay
 //! aligned with graph ids). The snapshot is plain owned data, which also
@@ -112,7 +114,8 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Staging buffer for a parallel commit: the accounting half of
+/// Staging buffer for a parallel commit, and the only way assignments
+/// enter the store: the accounting half of
 /// [`PartitionStore::push_assignment_collect`] /
 /// [`PartitionStore::assign_slot_collect`] runs serially (float loads and
 /// totals are order-sensitive), while the O(log n) rebalance-heap pushes
@@ -832,25 +835,6 @@ impl PartitionStore {
         }
     }
 
-    /// Appends a newly placed vertex.
-    pub fn push_assignment(&mut self, part: u32, weight_row: &[f64]) {
-        debug_assert!((part as usize) < self.k);
-        debug_assert_eq!(weight_row.len(), self.dims);
-        self.invalidate_snapshot();
-        let v = self.parts.len() as VertexId;
-        self.parts.push(part);
-        self.part_sizes[part as usize] += 1;
-        for (j, &w) in weight_row.iter().enumerate() {
-            self.loads[part as usize * self.dims + j] += w;
-            self.totals[j] += w;
-            self.stamps.push(0);
-        }
-        for j in 0..self.dims {
-            let key = self.relief_key(j, weight_row);
-            self.heaps[part as usize * self.dims + j].push(HeapEntry { key, stamp: 0, v });
-        }
-    }
-
     /// Appends a slot that is already dead: an arrival that was removed
     /// again inside its own batch never gets an assignment, but its vertex
     /// id exists in the graph's id space until the next purge, so the
@@ -864,38 +848,6 @@ impl PartitionStore {
         }
     }
 
-    /// Re-activates the slot of a recycled vertex id: the commit stage's
-    /// counterpart of [`Self::push_assignment`] for an arrival whose id
-    /// came off the [`crate::DynamicGraph`] free list instead of extending
-    /// the id space.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the slot is not currently released.
-    pub fn assign_slot(&mut self, v: VertexId, part: u32, weight_row: &[f64]) {
-        debug_assert!((part as usize) < self.k);
-        debug_assert_eq!(weight_row.len(), self.dims);
-        debug_assert_eq!(
-            self.parts[v as usize], TOMBSTONE,
-            "assign_slot target {v} is still assigned"
-        );
-        self.invalidate_snapshot();
-        self.parts[v as usize] = part;
-        self.part_sizes[part as usize] += 1;
-        for (j, &w) in weight_row.iter().enumerate() {
-            self.loads[part as usize * self.dims + j] += w;
-            self.totals[j] += w;
-        }
-        for j in 0..self.dims {
-            let stamp = self.bump_stamp(v, j);
-            let entry = HeapEntry {
-                key: self.relief_key(j, weight_row),
-                stamp,
-                v,
-            };
-            self.push_entry(part, j, entry);
-        }
-    }
-
     /// An empty [`HeapSink`] shaped for this store's `(part, dimension)`
     /// slots.
     pub fn heap_sink(&self) -> HeapSink {
@@ -904,9 +856,10 @@ impl PartitionStore {
         }
     }
 
-    /// [`Self::push_assignment`] with the heap pushes staged into `sink`
-    /// instead of applied inline — the serial accounting half of a
-    /// parallel commit (see [`Self::apply_heap_entries`]).
+    /// Appends a newly placed vertex: the loads and totals move at once,
+    /// while its rebalance-heap pushes are staged into `sink` — the
+    /// serial accounting half of a parallel commit (see
+    /// [`Self::apply_heap_entries`]).
     pub fn push_assignment_collect(&mut self, part: u32, weight_row: &[f64], sink: &mut HeapSink) {
         debug_assert!((part as usize) < self.k);
         debug_assert_eq!(weight_row.len(), self.dims);
@@ -925,9 +878,10 @@ impl PartitionStore {
         }
     }
 
-    /// [`Self::assign_slot`] with the heap pushes staged into `sink`
-    /// instead of applied inline — the serial accounting half of a
-    /// parallel commit (see [`Self::apply_heap_entries`]).
+    /// Re-activates the slot of a recycled vertex id — the counterpart of
+    /// [`Self::push_assignment_collect`] for an arrival whose id came off
+    /// the [`crate::DynamicGraph`] free list instead of extending the id
+    /// space — staging its heap pushes into `sink` the same way.
     ///
     /// # Panics
     /// Panics (in debug builds) if the slot is not currently released.
@@ -964,11 +918,10 @@ impl PartitionStore {
 
     /// Applies every staged heap entry, in parallel over disjoint slot
     /// ranges balanced by entry count. Each slot replays its bucket in
-    /// the order the collect calls staged it — the order the serial
-    /// `push_assignment` / `assign_slot` path would have pushed — and the
-    /// stale-backlog compaction trigger runs per push exactly as the
-    /// serial `push_entry` path would, so the resulting heap layout is
-    /// bitwise identical for every thread count.
+    /// the order the collect calls staged it, and the stale-backlog
+    /// compaction trigger runs per push exactly as the serial
+    /// `push_entry` path does, so the resulting heap layout is bitwise
+    /// identical for every thread count.
     pub fn apply_heap_entries(&mut self, sink: HeapSink) {
         assert_eq!(sink.buckets.len(), self.heaps.len(), "sink shape mismatch");
         let dims = self.dims;
@@ -1419,7 +1372,7 @@ impl PartitionStore {
     /// incrementally; re-deriving them from the weights would diverge
     /// bitwise from the live store). Heaps, stamps and `part_sizes` are
     /// derived state and are rebuilt by [`Self::decode_snapshot`].
-    pub(crate) fn encode_snapshot(&self, w: &mut crate::snapshot::PayloadWriter) {
+    pub(crate) fn encode_snapshot(&self, w: &mut crate::codec::PayloadWriter) {
         w.put_usize(self.k);
         w.put_usize(self.dims);
         w.put_vec_u32(&self.parts);
@@ -1434,7 +1387,7 @@ impl PartitionStore {
     /// assignments and the rebalance heaps/stamps rebuilt from `weights`
     /// at the restored totals (see [`Self::rebuild_heaps`]).
     pub(crate) fn decode_snapshot(
-        r: &mut crate::snapshot::PayloadReader,
+        r: &mut crate::codec::PayloadReader,
         weights: &VertexWeights,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
@@ -1525,6 +1478,14 @@ mod tests {
         (s, w)
     }
 
+    /// Commits one fresh assignment through the sink path the engine's
+    /// commit stage uses.
+    fn push(s: &mut PartitionStore, part: u32, row: &[f64]) {
+        let mut sink = s.heap_sink();
+        s.push_assignment_collect(part, row, &mut sink);
+        s.apply_heap_entries(sink);
+    }
+
     #[test]
     fn lookups_and_loads() {
         let (s, _) = store();
@@ -1541,7 +1502,7 @@ mod tests {
     fn push_and_move_update_loads() {
         let (mut s, mut w) = store();
         w.push_vertex(&[1.0, 1.0]);
-        s.push_assignment(1, &[1.0, 1.0]);
+        push(&mut s, 1, &[1.0, 1.0]);
         assert_eq!(s.shard_of(4), 1);
         assert_eq!(s.load(1, 0), 3.0);
         assert_eq!(s.total(0), 5.0);
@@ -1636,7 +1597,7 @@ mod tests {
         assert_eq!(snap.load(0, 0), s.load(0, 0));
         assert_eq!(snap.total(1), s.total(1));
         // Mutating the store afterwards leaves the snapshot untouched.
-        s.push_assignment(0, &[1.0, 1.0]);
+        push(&mut s, 0, &[1.0, 1.0]);
         assert_eq!(snap.load(0, 0), 2.0);
         assert_eq!(snap.total(0), 4.0);
         assert_eq!(s.total(0), 5.0);
@@ -1652,12 +1613,14 @@ mod tests {
         assert_eq!(s.num_assigned(), 4);
         assert_eq!(s.shard_of(4), TOMBSTONE);
         assert_eq!(s.total(0), 4.0);
-        // Releasing a vertex frees its id; assign_slot re-activates it for
+        // Releasing a vertex frees its id; assign_slot_collect re-activates it for
         // a recycled arrival.
         let row: Vec<f64> = (0..w.dims()).map(|j| w.weight(j, 1)).collect();
         s.release_vertex(1, &row);
         assert_eq!(s.shard_of(1), TOMBSTONE);
-        s.assign_slot(1, 1, &[1.0, 5.0]);
+        let mut sink = s.heap_sink();
+        s.assign_slot_collect(1, 1, &[1.0, 5.0], &mut sink);
+        s.apply_heap_entries(sink);
         assert_eq!(s.shard_of(1), 1);
         assert_eq!(s.part_size(1), 3);
         assert_eq!(s.load(1, 1), 3.0 + 5.0);
@@ -1873,7 +1836,7 @@ mod tests {
                     let row = vec![1.0 + (rng() % 40) as f64 / 7.0, 1.0 + (rng() % 9) as f64];
                     w.push_vertex(&row);
                     released.push(false);
-                    s.push_assignment((rng() % k) as u32, &row);
+                    push(&mut s, (rng() % k) as u32, &row);
                     keys.push(rescore(&s, &w, (s.num_vertices() - 1) as u32));
                 }
                 _ => {
@@ -1937,7 +1900,7 @@ mod tests {
         assert!(s.load_snapshot().shares_storage(&first));
         assert_eq!(s.snapshot_rebuild_count(), baseline);
         // A load mutation invalidates; the next call rebuilds once.
-        s.push_assignment(0, &[1.0, 1.0]);
+        push(&mut s, 0, &[1.0, 1.0]);
         let fresh = s.load_snapshot();
         assert!(!fresh.shares_storage(&first), "stale snapshot served");
         assert_eq!(fresh.total(0), 5.0);

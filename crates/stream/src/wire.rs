@@ -38,23 +38,16 @@
 //! length to cross-validate against, so a rotted shape/base field would
 //! otherwise be trusted.
 //!
-//! Each record is framed as:
-//!
-//! | size | field                                     |
-//! |------|-------------------------------------------|
-//! | 4    | payload length in bytes (`u32`)           |
-//! | 8    | FNV-1a 64 checksum of the payload (`u64`) |
-//! | …    | payload                                   |
-//!
-//! and the payload holds the post-batch stamp (`id_epoch`, `batch_seq`,
-//! both `u64`), the leader's published view checksum (`u64`,
-//! [`crate::ReadView::checksum`]), and the serialized updates (count +
-//! one tagged [`StreamUpdate`] each). A clean EOF at a frame boundary
-//! ends the log ([`read_record`] returns `None`); bytes that stop inside
-//! a frame are [`WireError::Truncated`] with the section named. The
-//! frame's length prefix only bounds an incremental read — a corrupt
-//! length reports truncation, never a huge allocation — exactly the
-//! discipline of the snapshot codec's `read_snapshot`.
+//! Each record is one frame of the shared codec ([`crate::codec`]): a
+//! `u32` payload length and the payload's FNV-1a 64 checksum, then the
+//! payload. The payload holds the post-batch stamp (`id_epoch`,
+//! `batch_seq`, both `u64`), the leader's published view checksum
+//! (`u64`, [`crate::ReadView::checksum`]), and the serialized updates
+//! (count + one tagged [`StreamUpdate`] each). A clean EOF at a frame
+//! boundary ends the log ([`read_record`] returns `None`); bytes that stop
+//! inside a frame are [`WireError::Truncated`] with the section named.
+//! The frame's length prefix only bounds an incremental read — a corrupt
+//! length reports truncation, never a huge allocation.
 //!
 //! ## Failure model
 //!
@@ -67,8 +60,9 @@
 
 use std::io::{Read, Write};
 
+use crate::codec::{self, fnv1a, PayloadReader, PayloadWriter};
 use crate::delta::{StreamUpdate, UpdateBatch};
-use crate::snapshot::{fnv1a, PayloadReader, PayloadWriter, SnapshotError};
+use crate::snapshot::SnapshotError;
 use crate::ViewEpoch;
 
 /// First 8 bytes of every batch log.
@@ -82,7 +76,7 @@ pub const LOG_VERSION: u32 = 1;
 pub const LOG_HEADER_BYTES: usize = 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8;
 
 /// Per-record frame overhead in bytes (payload length + checksum).
-pub const RECORD_FRAME_BYTES: usize = 4 + 8;
+pub const RECORD_FRAME_BYTES: usize = codec::FRAME_BYTES;
 
 /// Everything that can go wrong writing or replaying a batch log. Reads
 /// are all-or-nothing per record: no partially decoded record escapes.
@@ -186,15 +180,9 @@ impl std::error::Error for WireError {
     }
 }
 
-impl WireError {
-    fn io(context: &'static str, source: std::io::Error) -> Self {
-        WireError::Io { context, source }
-    }
-}
-
-/// Record payloads are decoded with the snapshot module's bounds-checked
-/// `PayloadReader`, whose errors are [`SnapshotError`]s — translate
-/// them into the log's namespace without losing the variant.
+/// Frames and payloads are decoded with the shared codec, whose errors
+/// are [`SnapshotError`]s — translate them into the log's namespace
+/// without losing the variant.
 impl From<SnapshotError> for WireError {
     fn from(e: SnapshotError) -> Self {
         match e {
@@ -213,7 +201,7 @@ impl From<SnapshotError> for WireError {
             }
             SnapshotError::Corrupt(why) => WireError::Corrupt(why),
             // The remaining variants (magic/version/shape/epoch) describe
-            // snapshot headers and cannot come out of a payload decode.
+            // snapshot headers and cannot come out of the codec.
             other => WireError::Corrupt(other.to_string()),
         }
     }
@@ -293,42 +281,38 @@ pub fn write_log_header<W: Write>(
     segment: u64,
     base: ViewEpoch,
 ) -> Result<(), WireError> {
-    let mut body = Vec::with_capacity(LOG_HEADER_BYTES - 8);
-    body.extend_from_slice(&LOG_VERSION.to_le_bytes());
-    body.extend_from_slice(&(k as u32).to_le_bytes());
-    body.extend_from_slice(&(dims as u32).to_le_bytes());
-    body.extend_from_slice(&segment.to_le_bytes());
-    body.extend_from_slice(&base.id_epoch.to_le_bytes());
-    body.extend_from_slice(&base.batch_seq.to_le_bytes());
-    let hdr = |e| WireError::io("log header", e);
-    w.write_all(&LOG_MAGIC).map_err(hdr)?;
-    w.write_all(&body).map_err(hdr)?;
-    w.write_all(&fnv1a(&body).to_le_bytes()).map_err(hdr)?;
-    w.flush().map_err(hdr)?;
-    Ok(())
+    let mut header = PayloadWriter::default();
+    header.put_bytes(&LOG_MAGIC);
+    header.put_u32(LOG_VERSION);
+    header.put_u32(k as u32);
+    header.put_u32(dims as u32);
+    header.put_u64(segment);
+    header.put_u64(base.id_epoch);
+    header.put_u64(base.batch_seq);
+    header.put_u64(fnv1a(&header.buf[LOG_MAGIC.len()..]));
+    w.write_all(&header.buf)
+        .and_then(|()| w.flush())
+        .map_err(|source| WireError::Io {
+            context: "log header",
+            source,
+        })
 }
 
 /// Reads and integrity-checks the log header.
 pub fn read_log_header<R: Read>(r: &mut R) -> Result<LogHeader, WireError> {
     let mut header = [0u8; LOG_HEADER_BYTES];
-    read_exact_or_truncated(r, &mut header, "log header")?;
+    codec::read_exact(r, &mut header, "log header", false)?;
+    let (body, sum) = header.split_at(LOG_HEADER_BYTES - 8);
+    let mut h = PayloadReader::new(body);
     // Magic check precedes the checksum: "not a log at all" should say
     // so, not report a hash mismatch.
-    let magic: [u8; 8] = header[0..8].try_into().expect("8-byte slice of 52");
+    let magic = h.get_array("log header")?;
     if magic != LOG_MAGIC {
         return Err(WireError::BadMagic { found: magic });
     }
-    let body = &header[8..LOG_HEADER_BYTES - 8];
-    let stored = u64::from_le_bytes(
-        header[LOG_HEADER_BYTES - 8..]
-            .try_into()
-            .expect("8-byte slice of 52"),
-    );
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(WireError::ChecksumMismatch { stored, computed });
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4-byte slice"));
+    let stored = PayloadReader::new(sum).get_u64("log header")?;
+    codec::verify(&body[LOG_MAGIC.len()..], stored)?;
+    let version = h.get_u32("log header")?;
     if version != LOG_VERSION {
         return Err(WireError::UnsupportedVersion {
             found: version,
@@ -337,12 +321,12 @@ pub fn read_log_header<R: Read>(r: &mut R) -> Result<LogHeader, WireError> {
     }
     Ok(LogHeader {
         format_version: version,
-        k: u32::from_le_bytes(header[12..16].try_into().expect("4-byte slice")) as usize,
-        dims: u32::from_le_bytes(header[16..20].try_into().expect("4-byte slice")) as usize,
-        segment: u64::from_le_bytes(header[20..28].try_into().expect("8-byte slice")),
+        k: h.get_u32("log header")? as usize,
+        dims: h.get_u32("log header")? as usize,
+        segment: h.get_u64("log header")?,
         base: ViewEpoch {
-            id_epoch: u64::from_le_bytes(header[28..36].try_into().expect("8-byte slice")),
-            batch_seq: u64::from_le_bytes(header[36..44].try_into().expect("8-byte slice")),
+            id_epoch: h.get_u64("log header")?,
+            batch_seq: h.get_u64("log header")?,
         },
     })
 }
@@ -350,7 +334,7 @@ pub fn read_log_header<R: Read>(r: &mut R) -> Result<LogHeader, WireError> {
 /// Frames and appends one record; returns the bytes written (frame +
 /// payload), the quantity a rotation policy meters.
 pub fn write_record<W: Write>(w: &mut W, record: &LogRecord) -> Result<usize, WireError> {
-    let mut pw = PayloadWriter::new();
+    let mut pw = PayloadWriter::default();
     pw.put_u64(record.stamp.id_epoch);
     pw.put_u64(record.stamp.batch_seq);
     pw.put_u64(record.view_checksum);
@@ -358,14 +342,7 @@ pub fn write_record<W: Write>(w: &mut W, record: &LogRecord) -> Result<usize, Wi
     for update in &record.batch.updates {
         encode_update(&mut pw, update);
     }
-    let frame = |e| WireError::io("record frame", e);
-    w.write_all(&(pw.buf.len() as u32).to_le_bytes())
-        .map_err(frame)?;
-    w.write_all(&fnv1a(&pw.buf).to_le_bytes()).map_err(frame)?;
-    w.write_all(&pw.buf)
-        .map_err(|e| WireError::io("record payload", e))?;
-    w.flush().map_err(|e| WireError::io("record payload", e))?;
-    Ok(RECORD_FRAME_BYTES + pw.buf.len())
+    codec::write_frame(w, &pw.buf, "record frame", "record payload").map_err(Into::into)
 }
 
 /// Reads the next record, `Ok(None)` at a clean end of log (EOF exactly
@@ -374,44 +351,9 @@ pub fn write_record<W: Write>(w: &mut W, record: &LogRecord) -> Result<usize, Wi
 /// [`WireError::ChecksumMismatch`] — in every error case no record (and
 /// no partial record) is returned.
 pub fn read_record<R: Read>(r: &mut R) -> Result<Option<LogRecord>, WireError> {
-    let mut frame = [0u8; RECORD_FRAME_BYTES];
-    // A clean EOF before the first frame byte ends the log; EOF after it
-    // is a torn append.
-    let mut filled = 0usize;
-    while filled < frame.len() {
-        match r.read(&mut frame[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(WireError::Truncated {
-                    context: "record frame",
-                    needed: frame.len(),
-                    available: filled,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::io("record frame", e)),
-        }
-    }
-    let len = u32::from_le_bytes(frame[0..4].try_into().expect("4-byte slice")) as usize;
-    let stored = u64::from_le_bytes(frame[4..12].try_into().expect("8-byte slice"));
-    // The declared length is untrusted: read incrementally up to it, so a
-    // corrupt frame reports truncation instead of a huge allocation.
-    let mut payload = Vec::new();
-    r.take(len as u64)
-        .read_to_end(&mut payload)
-        .map_err(|e| WireError::io("record payload", e))?;
-    if payload.len() < len {
-        return Err(WireError::Truncated {
-            context: "record payload",
-            needed: len,
-            available: payload.len(),
-        });
-    }
-    let computed = fnv1a(&payload);
-    if computed != stored {
-        return Err(WireError::ChecksumMismatch { stored, computed });
-    }
+    let Some(payload) = codec::read_frame(r, "record frame", "record payload")? else {
+        return Ok(None);
+    };
     let mut pr = PayloadReader::new(&payload);
     let stamp = ViewEpoch {
         id_epoch: pr.get_u64("record stamp id_epoch")?,
@@ -500,29 +442,6 @@ fn decode_update(r: &mut PayloadReader) -> Result<StreamUpdate, WireError> {
         },
         other => return Err(WireError::Corrupt(format!("unknown update tag {other}"))),
     })
-}
-
-fn read_exact_or_truncated<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    context: &'static str,
-) -> Result<(), WireError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(WireError::Truncated {
-                    context,
-                    needed: buf.len(),
-                    available: filled,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::io(context, e)),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -723,7 +642,7 @@ mod tests {
     #[test]
     fn unknown_update_tag_is_corrupt_not_a_panic() {
         // Hand-frame a record whose only update has tag 200.
-        let mut pw = PayloadWriter::new();
+        let mut pw = PayloadWriter::default();
         pw.put_u64(0); // id_epoch
         pw.put_u64(1); // batch_seq
         pw.put_u64(0); // view checksum
@@ -751,6 +670,52 @@ mod tests {
         assert!(read_record(&mut r).unwrap().is_none());
         // And stays None on repeated polls (a tailing reader).
         assert!(read_record(&mut r).unwrap().is_none());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of a fixed header and of a record
+    /// carrying every update arm.
+    #[test]
+    fn header_and_record_bytes_are_pinned() {
+        let mut bytes = Vec::new();
+        let base = ViewEpoch {
+            id_epoch: 1,
+            batch_seq: 7,
+        };
+        write_log_header(&mut bytes, 8, 2, 3, base).unwrap();
+        assert_eq!(
+            hex(&bytes),
+            "4d444247504c4f47010000000800000002000000\
+             030000000000000001000000000000000700000000000000\
+             8bba5c02f731c480"
+        );
+        let mut batch = UpdateBatch::new();
+        batch.add_vertex(vec![1.0, 2.5], vec![0, 3]);
+        batch.add_edge(1, 2);
+        batch.remove_edge(0, 3);
+        batch.remove_vertex(3);
+        batch.set_weight(2, 1, 0.75);
+        let record = LogRecord {
+            stamp: ViewEpoch {
+                id_epoch: 2,
+                batch_seq: 9,
+            },
+            view_checksum: 0x0123_4567_89AB_CDEF,
+            batch,
+        };
+        let mut bytes = Vec::new();
+        assert_eq!(write_record(&mut bytes, &record).unwrap(), bytes.len());
+        assert_eq!(
+            hex(&bytes),
+            "750000009629639d1afe0f9f\
+             02000000000000000900000000000000efcdab89674523010500000000000000\
+             000200000000000000000000000000f03f000000000000044002000000000000\
+             0000000000030000000101000000020000000200000000030000000303000000\
+             04020000000100000000000000000000000000e83f"
+        );
     }
 
     #[test]
